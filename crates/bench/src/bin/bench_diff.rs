@@ -254,28 +254,22 @@ fn render(baseline: &Doc, fresh: &Doc) -> String {
              |---|---:|---:|---:|---:|---:|---:|\n",
         );
         for fp in &fw.paths {
-            match bw.paths.iter().find(|b| b.path == fp.path) {
-                Some(bp) => {
-                    let _ = writeln!(
-                        out,
-                        "| {} | {:.0} | {:.0} | {:+.1}% | {:.3} | {:.3} | {:+.3} |",
-                        fp.path,
-                        bp.events_per_sec,
-                        fp.events_per_sec,
-                        pct(fp.events_per_sec, bp.events_per_sec),
-                        bp.speedup,
-                        fp.speedup,
-                        fp.speedup - bp.speedup,
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "| {} | — | {:.0} | — | — | {:.3} | — |",
-                        fp.path, fp.events_per_sec, fp.speedup,
-                    );
-                }
-            }
+            // A path measured on one side only (an engine path added or
+            // retired since the baseline) has no delta: skip it.
+            let Some(bp) = bw.paths.iter().find(|b| b.path == fp.path) else {
+                continue;
+            };
+            let _ = writeln!(
+                out,
+                "| {} | {:.0} | {:.0} | {:+.1}% | {:.3} | {:.3} | {:+.3} |",
+                fp.path,
+                bp.events_per_sec,
+                fp.events_per_sec,
+                pct(fp.events_per_sec, bp.events_per_sec),
+                bp.speedup,
+                fp.speedup,
+                fp.speedup - bp.speedup,
+            );
         }
         out.push('\n');
     }
@@ -606,6 +600,20 @@ mod tests {
         let fresh = parse(&DOC.replace("2000.0", "3000.0").replace("2.000", "3.000"));
         let report = render(&base, &fresh);
         assert!(report.contains("| push_batch | 2000 | 3000 | +50.0% | 2.000 | 3.000 | +1.000 |"));
+    }
+
+    #[test]
+    fn skips_paths_present_on_one_side_only() {
+        let retired = "        {\"path\": \"sharded/n2\", \"events_per_sec\": 700.0, \"results_out\": 5, \"speedup_vs_per_event\": 0.700},\n";
+        let anchor = "        {\"path\": \"push_batch\"";
+        let with_retired = DOC.replace(anchor, &format!("{retired}{anchor}"));
+        for (base, fresh) in [(&with_retired[..], DOC), (DOC, &with_retired[..])] {
+            let report = render(&parse(base), &parse(fresh));
+            assert!(!report.contains("sharded/n2"), "{report}");
+            assert!(
+                report.contains("| push_batch | 2000 | 2000 | +0.0% | 2.000 | 2.000 | +0.000 |")
+            );
+        }
     }
 
     #[test]

@@ -11,25 +11,21 @@
 //!
 //! * `shared_selects` — the paper's headline case: many selection queries
 //!   merged into one predicate-indexed m-op. Stateless, so the batched
-//!   drain takes channel-run granularity and the sharded engines
-//!   round-robin tuples. Also carries the `subscriptions/*` row: the same
+//!   drain takes channel-run granularity and the worker pool
+//!   round-robins tuples. Also carries the `subscriptions/*` row: the same
 //!   batched feed with every query individually subscribed, measuring the
 //!   per-query dispatch overhead against the `collect_all` catch-all.
 //! * `select_chain` — three-deep selection chains; the shape where the
 //!   retired depth-staged pipelined runner measurably lost to
 //!   single-threaded execution, now covered by the shard paths.
-//! * `stateful_seq` — sequence queries; the batched entry point runs the
-//!   hybrid drain (selection prefix batched, sequences strict per-event
-//!   until the adaptive gate learns otherwise), and the sharded engines
-//!   hash-partition on the sequences' AI-index key.
+//! * `stateful_seq` — sequence queries; a stateful plan, so the batched
+//!   entry point feeds it per event, and the worker pool hash-partitions
+//!   on the sequences' AI-index key.
 //! * `keyed_agg` — grouped aggregates over many queries; the whole plan
-//!   is one keyed component, so the sharded engines route every tuple by
-//!   group hash (the index-list shared-batch delivery path) and the
-//!   batched drain exercises per-key sub-batching inside the aggregate
-//!   m-ops.
+//!   is one keyed component, so the worker pool routes every tuple by
+//!   group hash (the index-list shared-batch delivery path).
 //!
-//! Every workload is measured under both parallel engines: `sharded/nK`
-//! (`session().workers(n).one_shot()`, scoped threads per batch call) and
+//! Every workload is also measured on the worker pool:
 //! `sharded_stream/nK` (`session().workers(n)`, the persistent streaming
 //! pool), with K worker clones of the plan routed per the static
 //! partitioning analysis.
@@ -42,21 +38,30 @@ use std::time::Instant;
 
 use rumor_core::{AggFunc, AggSpec, LogicalPlan, OptimizerConfig, SeqSpec, Verdict};
 use rumor_engine::exec::ExecutablePlan;
-use rumor_engine::{EventRuntime, Protocol, Rumor, SessionConfig, StreamingConfig, Subscription};
+use rumor_engine::{EventRuntime, Rumor, SessionConfig, StreamingConfig, Subscription};
 use rumor_expr::{CmpOp, Expr, Predicate};
 use rumor_types::{QueryId, Schema, SourceId, Tuple};
 
 use crate::Scale;
 
+/// How often each path is run: untimed warmup passes (caches and
+/// allocators settle), then measured repetitions.
+#[derive(Debug, Clone)]
+pub struct Protocol {
+    /// Warmup passes over the input before measuring.
+    pub warmup_runs: usize,
+    /// Measured repetitions (the best is reported).
+    pub measured_runs: usize,
+}
+
 /// Throughput of one execution path over one workload.
 #[derive(Debug, Clone)]
 pub struct PathStat {
-    /// Path label (`per_event`, `push_batch`, `sharded/...`).
+    /// Path label (`per_event`, `push_batch`, `sharded_stream/...`).
     pub path: String,
     /// Input events per second — the *best* measured run (host-load
     /// bursts on the shared measurement host only ever slow a run down,
-    /// so the best run is the robust per-path estimate; see
-    /// [`rumor_engine::Measurement::best_events_per_sec`]).
+    /// so the best run is the robust per-path estimate).
     pub events_per_sec: f64,
     /// Query results produced per run (sanity: identical across paths).
     pub results_out: u64,
@@ -76,8 +81,8 @@ pub struct WorkloadReport {
     /// Whether the compiled plan qualified for the batched drain.
     pub batch_safe: bool,
     /// Component verdicts of the partitioning analysis, e.g.
-    /// `"stateless=1 keyed=0 pinned=0"` (what the `sharded/*` paths route
-    /// by).
+    /// `"stateless=1 keyed=0 pinned=0"` (what the `sharded_stream/*`
+    /// paths route by).
     pub partitioning: String,
     /// Per-path stats, `per_event` first.
     pub paths: Vec<PathStat>,
@@ -169,8 +174,8 @@ pub fn seq_engine(n_queries: usize) -> Rumor {
 }
 
 /// `n` grouped aggregate queries over one stream (keyed stateful: the
-/// group-by attribute keys the whole component, so the sharded engines
-/// hash-route every tuple and the batched drain sub-batches per group).
+/// group-by attribute keys the whole component, so the worker pool
+/// hash-routes every tuple).
 /// Windows vary across queries so the optimizer shares window *fragments*
 /// (rule cα) rather than collapsing everything into one operator.
 pub fn agg_engine(n_queries: usize) -> Rumor {
@@ -357,12 +362,9 @@ fn measure_path(
 /// committed to `BENCH_throughput.json`).
 pub const SHARD_WORKERS: [usize; 2] = [2, 4];
 
-/// Events per arrival chunk for the shard paths: both parallel engines are
-/// fed the identical chunked stream (a continuous-arrival pattern, not
-/// one preassembled mega-batch), so the `sharded/nK` rows pay their
-/// scoped-thread spawns once per chunk while `sharded_stream/nK`
-/// amortizes its persistent pool across the whole run — the trade-off
-/// these rows exist to expose.
+/// Events per arrival chunk for the shard paths: the pool is fed a
+/// chunked stream (a continuous-arrival pattern, not one preassembled
+/// mega-batch).
 pub const SHARD_FEED_CHUNK: usize = 2048;
 
 /// Streaming-pool tuning used by the benchmark rows.
@@ -417,28 +419,9 @@ fn report(
             Some(qs),
         ));
     }
-    // Pair each streaming measurement with its one-shot baseline so the
-    // two sit adjacent in time: host-load drift then hits both alike and
-    // the `sharded_stream/nK` vs `sharded/nK` comparison stays meaningful
-    // on a noisy machine.
     for n in SHARD_WORKERS {
-        let one_shot = SessionConfig {
-            workers: Some(n),
-            one_shot: true,
-            streaming: None,
-        };
-        paths.push(measure_path(
-            engine,
-            &events,
-            protocol,
-            &format!("sharded/n{n}"),
-            &one_shot,
-            Feed::Chunked(SHARD_FEED_CHUNK),
-            None,
-        ));
         let streaming = SessionConfig {
             workers: Some(n),
-            one_shot: false,
             streaming: Some(stream_cfg()),
         };
         paths.push(measure_path(

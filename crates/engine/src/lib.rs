@@ -14,22 +14,22 @@
 //! catch-all:
 //!
 //! * `session().build()?` — [`LocalRuntime`], the single-threaded push
-//!   engine. Fully stateless plans batch at channel-run granularity;
-//!   stateful plans run *hybrid*, batching the stateless prefix and
-//!   dropping to timestamp-ordered per-event delivery only at the first
-//!   stateful m-op ([`ExecutablePlan::is_prefix_batch_safe`]).
+//!   engine.
 //! * `session().workers(n).build()?` — [`StreamingShardedRuntime`], the
 //!   persistent worker pool: long-lived workers behind bounded queues
 //!   with backpressure, fed by the static partition router
 //!   (`rumor_core::partition`): round-robin for stateless components,
 //!   hashed on consistent keys for key-partitionable ones, worker 0 for
 //!   pinned stateful subgraphs (stateless siblings still round-robin).
-//! * `session().workers(n).one_shot().build()?` — [`ShardedRuntime`],
-//!   the same router with scoped threads spawned per batch call; for
-//!   inputs already in memory as a few large slices.
+//!
+//! Both engines run the same [`ExecutablePlan`], whose dispatch is a
+//! static function of the plan's shape ([`ExecutablePlan::is_batch_safe`]):
+//! a fully stateless plan drains `push_batch` input at channel-run
+//! granularity; a plan with any stateful m-op is fed per event, in
+//! timestamp order, whichever entry point delivered the events.
 //!
 //! Per-worker sinks fold deterministically at every delivery barrier
-//! ([`MergeSink`]); all engines produce identical per-query results (the
+//! ([`MergeSink`]); both engines produce identical per-query results (the
 //! differential conformance harness pins this byte-for-byte). Sharding
 //! pays off when there are physical cores to spare and per-event work is
 //! nontrivial; on a single core it measures the routing overhead (see
@@ -55,7 +55,7 @@
 //!   [`ExecutablePlan::apply_delta`] carries every untouched operator's
 //!   instance — windows, sequence instance indexes, aggregate buckets —
 //!   across the swap (state moves by m-op id; only new or rewired
-//!   operators start cold), and both shard engines implement the *epoch
+//!   operators start cold), and the worker pool implements the *epoch
 //!   protocol*: quiesce at a flush barrier, install the patched plan on
 //!   every worker, re-derive the routing scheme incrementally, resume —
 //!   the pool never restarts.
@@ -99,25 +99,19 @@
 #![warn(missing_docs)]
 
 pub mod exec;
-pub mod metrics;
 pub mod session;
 pub mod shard;
 pub mod stats;
 
 pub use exec::{CollectingSink, ConeScope, CountingSink, DiscardSink, ExecutablePlan, QuerySink};
-pub use metrics::{
-    measure, measure_batched, measure_mode, BatchProfile, FeedMode, InputEvent, Measurement,
-    Protocol,
-};
 pub use session::{
     EventRuntime, LocalRuntime, Session, SessionBuilder, SessionConfig, Subscription,
 };
-pub use shard::{MergeSink, ShardedRuntime, StreamingConfig, StreamingShardedRuntime};
+pub use shard::{MergeSink, StreamingConfig, StreamingShardedRuntime};
 pub use stats::{
     trace_clock_nanos, trace_json_lines, CollectingMeterSink, ExecStatsReport, FileMeterSink,
-    GateStats, Histogram, Meter, MeterSink, OpStats, QuerySharing, QueryStats, RuntimeStats,
-    SharedOpRef, StatsSnapshot, StderrMeterSink, TraceEvent, TraceRing, STATS_COMPILED,
-    TIME_SAMPLE_EVERY,
+    Histogram, Meter, MeterSink, OpStats, QuerySharing, QueryStats, RuntimeStats, SharedOpRef,
+    StatsSnapshot, StderrMeterSink, TraceEvent, TraceRing, STATS_COMPILED, TIME_SAMPLE_EVERY,
 };
 
 use std::collections::HashMap;

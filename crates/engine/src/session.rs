@@ -1,12 +1,11 @@
-//! The unified execution API: one [`EventRuntime`] trait over all three
+//! The unified execution API: one [`EventRuntime`] trait over both
 //! engines, one [`SessionBuilder`] to construct them, and a per-query
 //! [`Subscription`] layer for result delivery.
 //!
 //! RUMOR's premise is that *one* shared plan serves every registered
-//! query; this module makes the execution surface match. Instead of three
-//! runtime types with three incompatible lifecycles, every engine — the
-//! single-threaded push engine, the one-shot sharded runtime, and the
-//! persistent streaming shard pool — implements the same
+//! query; this module makes the execution surface match. Both engines —
+//! the single-threaded push engine and the persistent streaming shard
+//! pool — implement the same
 //! `push`/`push_batch`/`push_batch_shared`/`flush`/`finish`/`update_plan`
 //! trait, and a [`Session`] built by [`crate::Rumor::session`] wraps
 //! whichever engine the builder selected behind one result-delivery
@@ -33,18 +32,17 @@ use rumor_core::{
 use rumor_types::{Membership, QueryId, Result, RumorError, SourceId, Tuple};
 
 use crate::exec::{CollectingSink, ExecutablePlan, QuerySink};
-use crate::shard::{ShardedRuntime, StreamingConfig, StreamingShardedRuntime};
+use crate::shard::{StreamingConfig, StreamingShardedRuntime};
 use crate::stats::{
-    mode_str, sharing_attribution, trace_json_lines, ExecStatsReport, Histogram, IdBuild, LatAcc,
-    QueryStats, RuntimeStats, StatsSnapshot, TraceEvent, TraceRing, TIME_SAMPLE_EVERY,
+    sharing_attribution, trace_json_lines, ExecStatsReport, Histogram, IdBuild, LatAcc, QueryStats,
+    RuntimeStats, StatsSnapshot, TraceEvent, TraceRing, TIME_SAMPLE_EVERY,
 };
 
 /// The one execution lifecycle every RUMOR engine speaks.
 ///
-/// Implemented by all three engines — [`LocalRuntime`] (the
-/// single-threaded push engine), [`ShardedRuntime`] (one-shot partition
-/// parallelism), and [`StreamingShardedRuntime`] (the persistent worker
-/// pool) — and by [`Session`], which wraps any of them behind the
+/// Implemented by both engines — [`LocalRuntime`] (the single-threaded
+/// push engine) and [`StreamingShardedRuntime`] (the persistent worker
+/// pool) — and by [`Session`], which wraps either of them behind the
 /// subscription layer. Generic drivers (the conformance harness, the
 /// throughput bench) are written once against this trait and run
 /// unchanged over every engine.
@@ -193,13 +191,11 @@ impl<S: QuerySink + Default> EventRuntime for LocalRuntime<S> {
 /// (`engine.session().config(cfg).build()?`).
 #[derive(Debug, Clone, Default)]
 pub struct SessionConfig {
-    /// Worker count. `None` selects the single-threaded engine.
+    /// Worker count. `None` selects the single-threaded engine; `Some(n)`
+    /// the persistent streaming pool with `n` workers.
     pub workers: Option<usize>,
-    /// With `workers` set: use the one-shot sharded runtime (scoped
-    /// threads per batch call) instead of the persistent streaming pool.
-    pub one_shot: bool,
-    /// With `workers` set and `one_shot` false: tuning for the streaming
-    /// pool (staging batch size, queue depth). `None` uses the defaults.
+    /// With `workers` set: tuning for the streaming pool (staging batch
+    /// size, queue depth). `None` uses the defaults.
     pub streaming: Option<StreamingConfig>,
 }
 
@@ -211,49 +207,41 @@ pub struct SessionConfig {
 /// engine.session().build()?                          // single-threaded
 /// engine.session().workers(4).build()?               // streaming pool, 4 workers
 /// engine.session().workers(4).streaming(cfg).build()?// ... with explicit tuning
-/// engine.session().workers(4).one_shot().build()?    // one-shot sharded
 /// ```
 ///
 /// **Which engine should I pick?** Omit [`SessionBuilder::workers`]
 /// (single-threaded) unless there are physical cores to spare: on one
-/// core the parallel engines only measure their routing overhead. With
-/// cores available, prefer `workers(n)` — the *persistent streaming
-/// pool* — whenever events arrive continuously or in small batches:
+/// core the worker pool only measures its routing overhead. With cores
+/// available, `workers(n)` runs the *persistent streaming pool*:
 /// long-lived workers behind bounded queues amortize thread costs over
 /// the session's whole lifetime and give backpressure instead of
-/// unbounded buffering. Add [`SessionBuilder::one_shot`] only when the
-/// entire input is already in memory as a few large batches; it spawns
-/// scoped worker threads per `push_batch` call, which is cheaper than a
-/// pool it would barely use but recurs on every call. Either way the
-/// shared plan is cloned per worker and tuples are routed by the static
-/// partitioning analysis (round-robin for stateless components, hashed
-/// on consistent keys for key-partitionable ones, worker 0 for pinned
-/// stateful subgraphs); results are identical across all engines.
+/// unbounded buffering. The shared plan is cloned per worker and tuples
+/// are routed by the static partitioning analysis (round-robin for
+/// stateless components, hashed on consistent keys for key-partitionable
+/// ones, worker 0 for pinned stateful subgraphs); results are identical
+/// across both engines.
 ///
-/// **Batched input is self-tuning.** Every engine compiles its plan with
-/// a per-component *adaptive dispatch gate* ([`crate::BatchProfile`]):
-/// components whose operators opt into batch dispatch start on the
-/// batched path, and the gate keeps a decaying per-event-cost estimate
-/// for both dispatch styles, probing the road not taken on a sparse
-/// schedule — and only ever on a capped sub-chunk, so trying the losing
-/// style costs a bounded slice of one chunk — until the choice freezes.
-/// Feeding input through
-/// [`EventRuntime::push_batch`] (or `push_batch_shared`) therefore never
-/// commits a workload to a dispatch style that measures slower than
-/// per-event on this host — the gate converges to whichever is cheaper,
-/// per component, with zero effect on results. Keyed and pinned schemes
-/// additionally ship batches to workers as index lists into one shared
-/// allocation instead of per-worker tuple copies, so the parallel
-/// engines' routing cost no longer scales with tuple width.
+/// **Batched input.** How a batch is dispatched is a static function of
+/// the compiled plan's shape, decided once at compile / `update_plan`
+/// time: a plan whose every m-op is stateless runs
+/// [`EventRuntime::push_batch`] (and `push_batch_shared`) through the
+/// channel-batched drain — one [`rumor_core::MultiOp::process_batch`]
+/// call per run of same-channel events; a plan with any stateful m-op
+/// feeds the batch per event, in order, exactly as repeated
+/// [`EventRuntime::push`] calls would. Results never depend on which
+/// entry point delivered the events. Keyed and pinned schemes ship
+/// batches to workers as index lists into one shared allocation instead
+/// of per-worker tuple copies, so the pool's routing cost does not scale
+/// with tuple width.
 ///
 /// **Observability.** Every session keeps always-on runtime counters:
 /// [`Session::stats`] returns a [`StatsSnapshot`] (per-m-op dispatch
-/// counters and state sizes, adaptive-gate state, queue pressure,
-/// per-query delivery counts, sharing attribution) and
+/// counters and state sizes, queue pressure, per-query delivery counts,
+/// sharing attribution) and
 /// [`Session::explain`] renders the live plan annotated with them.
 /// Snapshot semantics follow the delivery barriers: on the
-/// single-threaded session counters are exact after every push; on the
-/// parallel sessions a `stats()` call on a live pool is itself a
+/// single-threaded session counters are exact after every push; on a
+/// parallel session a `stats()` call on a live pool is itself a
 /// barrier-consistent read (staged deliveries are dispatched first and
 /// each worker reports in queue order, so the snapshot reflects every
 /// event accepted before the call), and per-query emitted counts advance
@@ -293,8 +281,8 @@ impl<'a> SessionBuilder<'a> {
         }
     }
 
-    /// Runs the session on `n` parallel workers (default: the persistent
-    /// streaming pool). Omit for the single-threaded engine.
+    /// Runs the session on the persistent streaming pool with `n`
+    /// workers. Omit for the single-threaded engine.
     pub fn workers(mut self, n: usize) -> Self {
         self.config.workers = Some(n);
         self
@@ -307,14 +295,6 @@ impl<'a> SessionBuilder<'a> {
         self
     }
 
-    /// Selects the one-shot sharded runtime (scoped threads per batch
-    /// call) instead of the streaming pool. Requires
-    /// [`SessionBuilder::workers`].
-    pub fn one_shot(mut self) -> Self {
-        self.config.one_shot = true;
-        self
-    }
-
     /// Replaces the whole configuration at once (table-driven harnesses).
     pub fn config(mut self, config: SessionConfig) -> Self {
         self.config = config;
@@ -322,16 +302,10 @@ impl<'a> SessionBuilder<'a> {
     }
 
     /// Compiles the session. Fails on contradictory configuration
-    /// (`one_shot` or `streaming` without `workers`, or both together)
-    /// and on plan compilation errors.
+    /// (`streaming` without `workers`) and on plan compilation errors.
     pub fn build(self) -> Result<Session> {
         let backend = match self.config.workers {
             None => {
-                if self.config.one_shot {
-                    return Err(RumorError::plan(
-                        "one_shot() requires workers(n)".to_string(),
-                    ));
-                }
                 if self.config.streaming.is_some() {
                     return Err(RumorError::plan(
                         "streaming(cfg) requires workers(n)".to_string(),
@@ -340,19 +314,10 @@ impl<'a> SessionBuilder<'a> {
                 Backend::Local(Box::new(LocalRuntime::new(self.plan)?))
             }
             Some(n) => {
-                if self.config.one_shot {
-                    if self.config.streaming.is_some() {
-                        return Err(RumorError::plan(
-                            "one_shot() sessions take no streaming(cfg)".to_string(),
-                        ));
-                    }
-                    Backend::OneShot(Box::new(ShardedRuntime::new(self.plan, n)?))
-                } else {
-                    let cfg = self.config.streaming.unwrap_or_default();
-                    Backend::Streaming(Box::new(StreamingShardedRuntime::with_config(
-                        self.plan, n, cfg,
-                    )?))
-                }
+                let cfg = self.config.streaming.unwrap_or_default();
+                Backend::Streaming(Box::new(StreamingShardedRuntime::with_config(
+                    self.plan, n, cfg,
+                )?))
             }
         };
         Ok(Session {
@@ -459,33 +424,26 @@ impl Iterator for Subscription {
 
 enum Backend {
     /// Boxed: the single-threaded runtime embeds the whole executable
-    /// plan (per-component scratch, dispatch profiles), dwarfing the
-    /// handle-sized parallel variants.
+    /// plan, dwarfing the pool's handles.
     Local(Box<LocalRuntime<CollectingSink>>),
-    /// Boxed too: both shard runtimes carry routing state, staging
-    /// buffers, and (streaming) a flight-recorder ring.
-    OneShot(Box<ShardedRuntime<CollectingSink>>),
+    /// Boxed too: the pool carries routing state, staging buffers, and a
+    /// flight-recorder ring.
     Streaming(Box<StreamingShardedRuntime<CollectingSink>>),
 }
 
 impl Backend {
     /// Barrier + drain on a *live* engine — the mid-stream delivery
     /// point. Pulls everything accumulated since the last drain (for the
-    /// parallel engines: merged across workers, worker 0 first, then
+    /// worker pool: merged across workers, worker 0 first, then
     /// `(ts, query)`-normalized by `MergeSink::finalize`). Returns the
     /// typed [`RumorError::Finished`] after `finish`, like every other
     /// lifecycle call.
     fn drain_live(&mut self) -> Result<CollectingSink> {
         match self {
-            // `flush` doubles as the liveness check on the engines whose
-            // barrier is free (both run workers synchronously inside the
-            // push calls).
+            // `flush` doubles as the liveness check on the engine whose
+            // barrier is free (it drains every push inline).
             Backend::Local(rt) => {
                 rt.flush()?;
-                Ok(rt.drain_sink())
-            }
-            Backend::OneShot(rt) => {
-                EventRuntime::flush(rt.as_mut())?;
                 Ok(rt.drain_sink())
             }
             // The streaming sink handoff is itself a drain barrier (queue
@@ -505,7 +463,6 @@ impl Backend {
     fn drain_final(&mut self) -> CollectingSink {
         match self {
             Backend::Local(rt) => rt.drain_sink(),
-            Backend::OneShot(rt) => rt.drain_sink(),
             Backend::Streaming(rt) => rt.take_final_sink(),
         }
     }
@@ -515,7 +472,6 @@ impl EventRuntime for Backend {
     fn push(&mut self, source: SourceId, tuple: Tuple) -> Result<()> {
         match self {
             Backend::Local(rt) => rt.push(source, tuple),
-            Backend::OneShot(rt) => rt.push(source, tuple),
             Backend::Streaming(rt) => rt.push(source, tuple),
         }
     }
@@ -523,7 +479,6 @@ impl EventRuntime for Backend {
     fn push_batch(&mut self, events: &[(SourceId, Tuple)]) -> Result<()> {
         match self {
             Backend::Local(rt) => rt.push_batch(events),
-            Backend::OneShot(rt) => rt.push_batch(events),
             Backend::Streaming(rt) => rt.push_batch(events),
         }
     }
@@ -531,7 +486,6 @@ impl EventRuntime for Backend {
     fn push_batch_shared(&mut self, events: Arc<Vec<(SourceId, Tuple)>>) -> Result<()> {
         match self {
             Backend::Local(rt) => rt.push_batch_shared(events),
-            Backend::OneShot(rt) => rt.push_batch_shared(events),
             Backend::Streaming(rt) => rt.push_batch_shared(events),
         }
     }
@@ -539,7 +493,6 @@ impl EventRuntime for Backend {
     fn flush(&mut self) -> Result<()> {
         match self {
             Backend::Local(rt) => rt.flush(),
-            Backend::OneShot(rt) => rt.flush(),
             Backend::Streaming(rt) => rt.flush(),
         }
     }
@@ -547,7 +500,6 @@ impl EventRuntime for Backend {
     fn finish(&mut self) -> Result<()> {
         match self {
             Backend::Local(rt) => rt.finish(),
-            Backend::OneShot(rt) => rt.finish(),
             Backend::Streaming(rt) => rt.finish(),
         }
     }
@@ -555,7 +507,6 @@ impl EventRuntime for Backend {
     fn update_plan(&mut self, plan: &PlanGraph) -> Result<()> {
         match self {
             Backend::Local(rt) => rt.update_plan(plan),
-            Backend::OneShot(rt) => rt.update_plan(plan),
             Backend::Streaming(rt) => rt.update_plan(plan),
         }
     }
@@ -687,7 +638,6 @@ impl Session {
     pub fn events_in(&self) -> u64 {
         match &self.backend {
             Backend::Local(rt) => rt.events_in(),
-            Backend::OneShot(rt) => rt.events_in(),
             Backend::Streaming(rt) => rt.events_in(),
         }
     }
@@ -696,7 +646,6 @@ impl Session {
     pub fn workers(&self) -> usize {
         match &self.backend {
             Backend::Local(_) => 1,
-            Backend::OneShot(rt) => rt.workers(),
             Backend::Streaming(rt) => rt.workers(),
         }
     }
@@ -706,7 +655,6 @@ impl Session {
     pub fn scheme(&self) -> Option<&PartitionScheme> {
         match &self.backend {
             Backend::Local(_) => None,
-            Backend::OneShot(rt) => Some(rt.scheme()),
             Backend::Streaming(rt) => Some(rt.scheme()),
         }
     }
@@ -823,9 +771,9 @@ impl Session {
     }
 
     /// A consistent snapshot of every runtime counter the session keeps:
-    /// per-m-op dispatch counters and state sizes, adaptive-gate state,
-    /// queue pressure and barrier latencies, per-query delivery counts,
-    /// and per-query sharing attribution against the current plan.
+    /// per-m-op dispatch counters and state sizes, queue pressure and
+    /// barrier latencies, per-query delivery counts, and per-query sharing
+    /// attribution against the current plan.
     ///
     /// On a live parallel session this is itself a barrier-consistent
     /// read: staged deliveries are dispatched and each worker reports in
@@ -837,7 +785,6 @@ impl Session {
     pub fn stats(&mut self) -> Result<StatsSnapshot> {
         let (engine, report): (&'static str, ExecStatsReport) = match &mut self.backend {
             Backend::Local(rt) => ("local", rt.exec.stats_report()),
-            Backend::OneShot(rt) => ("sharded", rt.exec_stats()),
             Backend::Streaming(rt) => ("streaming", rt.exec_stats()?),
         };
         let runtime = RuntimeStats {
@@ -880,7 +827,6 @@ impl Session {
             workers: self.workers(),
             events_in: self.events_in(),
             ops: report.ops,
-            gates: report.gates,
             runtime,
             queries,
             sharing,
@@ -888,7 +834,7 @@ impl Session {
     }
 
     /// Renders the optimized plan annotated with live runtime counters,
-    /// followed by gate state, runtime pressure counters, and per-query
+    /// followed by runtime pressure counters and per-query
     /// sharing attribution — the paper's benefit metric (events a shared
     /// m-op absorbs once instead of once per subscribed query).
     ///
@@ -955,23 +901,6 @@ impl Session {
             snap.engine, snap.workers, snap.events_in
         );
         out.push_str(&listing);
-        if !snap.gates.is_empty() {
-            let _ = writeln!(out, "== dispatch gates ==");
-            for g in &snap.gates {
-                let forced = match g.forced {
-                    Some(m) => format!(" forced={}", mode_str(m)),
-                    None => String::new(),
-                };
-                let _ = writeln!(
-                    out,
-                    "component {}: mode={} frozen={}{}",
-                    g.component,
-                    mode_str(g.mode),
-                    g.frozen,
-                    forced
-                );
-            }
-        }
         let _ = writeln!(out, "== runtime ==");
         let _ = writeln!(
             out,
@@ -1064,10 +993,9 @@ impl Session {
 
     /// Dumps the merged flight-recorder timeline as JSON lines (one
     /// object per line, sorted by timestamp): session-level events
-    /// (plan-swap phases, [`Session::trace_event`] notes), executor-level
-    /// events (adaptive-gate flips and freezes, from every worker), and
-    /// runtime-level events (backpressure stalls on the streaming pool).
-    /// All recorders share one process-wide clock
+    /// (plan-swap phases, [`Session::trace_event`] notes) and
+    /// runtime-level events (backpressure stalls and swap phases on the
+    /// streaming pool). Both recorders share one process-wide clock
     /// ([`crate::stats::trace_clock_nanos`]), so cross-thread ordering is
     /// coherent. Bounded: each recorder keeps its most recent events
     /// (oldest evicted), so the dump is a flight recorder, not a full
@@ -1077,13 +1005,8 @@ impl Session {
     /// empty but the call works.
     pub fn trace(&mut self) -> Result<String> {
         let mut events: Vec<TraceEvent> = self.flight.events().cloned().collect();
-        match &mut self.backend {
-            Backend::Local(rt) => events.extend(rt.exec.stats_report().trace),
-            Backend::OneShot(rt) => events.extend(rt.exec_stats().trace),
-            Backend::Streaming(rt) => {
-                events.extend(rt.exec_stats()?.trace);
-                events.extend(rt.trace_events());
-            }
+        if let Backend::Streaming(rt) = &self.backend {
+            events.extend(rt.trace_events());
         }
         events.sort_by_key(|e| e.at_nanos);
         Ok(trace_json_lines(&events))
@@ -1219,12 +1142,10 @@ mod tests {
             SessionConfig::default(),
             SessionConfig {
                 workers: Some(2),
-                one_shot: true,
                 streaming: None,
             },
             SessionConfig {
                 workers: Some(2),
-                one_shot: false,
                 streaming: Some(StreamingConfig {
                     batch_size: 4,
                     queue_depth: 2,
@@ -1236,16 +1157,8 @@ mod tests {
     #[test]
     fn builder_rejects_contradictory_configs() {
         let rumor = engine();
-        assert!(rumor.session().one_shot().build().is_err());
         assert!(rumor
             .session()
-            .streaming(StreamingConfig::default())
-            .build()
-            .is_err());
-        assert!(rumor
-            .session()
-            .workers(2)
-            .one_shot()
             .streaming(StreamingConfig::default())
             .build()
             .is_err());

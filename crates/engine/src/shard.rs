@@ -1,10 +1,10 @@
 //! The partition-parallel shared-plan runtime.
 //!
-//! [`ShardedRuntime`] clones a compiled plan across `n` workers and routes
-//! every pushed source tuple to exactly one of them, following the static
-//! [`PartitionScheme`] computed by `rumor-core`'s partitioning analysis
-//! from the compiled m-ops' key reports
-//! ([`rumor_core::MultiOp::partition_keys`]):
+//! [`StreamingShardedRuntime`] clones a compiled plan across `n`
+//! long-lived workers and routes every pushed source tuple to exactly one
+//! of them, following the static [`PartitionScheme`] computed by
+//! `rumor-core`'s partitioning analysis from the compiled m-ops' key
+//! reports ([`rumor_core::MultiOp::partition_keys`]):
 //!
 //! * tuples of **stateless** components round-robin across workers (any
 //!   distribution preserves per-query result multisets);
@@ -14,10 +14,9 @@
 //!   group members) lands on the same worker;
 //! * tuples of **pinned** components all go to worker 0.
 //!
-//! Each worker owns a full [`ExecutablePlan`] clone plus its own sink;
-//! [`ShardedRuntime::push_batch`] partitions the input slice, runs the
-//! workers on scoped threads, and [`ShardedRuntime::finish`] folds the
-//! per-worker sinks into one deterministic result ([`MergeSink`]).
+//! Each worker owns a full [`ExecutablePlan`] clone plus its own sink, fed
+//! over a bounded queue; barriers and shutdown fold the per-worker sinks
+//! into one deterministic result ([`MergeSink`]).
 //!
 //! Within one worker the routed sub-stream preserves global timestamp
 //! order (routing never reorders), so each clone sees a valid input and
@@ -73,20 +72,15 @@ impl MergeSink for CollectingSink {
     }
 
     fn finalize(&mut self) {
-        // A single worker's results arrive in engine order (the hybrid
-        // drain interleaves batched and strict phases), not in the merged
-        // contract order.
+        // A single worker's results arrive in engine order (the batched
+        // drain delivers level by level), not in the merged contract
+        // order.
         self.results.sort_by_key(|(q, t)| (t.ts, *q));
     }
 }
 
 impl MergeSink for DiscardSink {
     fn merge(&mut self, _other: Self) {}
-}
-
-struct Worker<S> {
-    exec: ExecutablePlan,
-    sink: S,
 }
 
 /// One routed delivery: where a tuple goes and how much of the plan it
@@ -104,11 +98,9 @@ enum Routed {
     },
 }
 
-/// The single routing step shared by both shard runtimes: resolves one
-/// source tuple against the scheme, advancing the source's round-robin
-/// cursor (split routes advance it for their stateless leg). Any change
-/// to routing semantics lands in both runtimes at once — the conformance
-/// harness depends on them splitting input identically.
+/// The single routing step: resolves one source tuple against the
+/// scheme, advancing the source's round-robin cursor (split routes
+/// advance it for their stateless leg).
 fn route_event(
     scheme: &PartitionScheme,
     rr_cursors: &mut [usize],
@@ -140,7 +132,7 @@ fn route_event(
 }
 
 /// The `w`-th of `n` contiguous segments of a length-`len` slice — the
-/// stateless batch distribution both runtimes use.
+/// stateless batch distribution.
 fn segment(len: usize, n: usize, w: usize) -> (usize, usize) {
     let per = len.div_ceil(n).max(1);
     ((w * per).min(len), ((w + 1) * per).min(len))
@@ -168,9 +160,9 @@ fn refresh_reports(
     Ok(reports)
 }
 
-/// The shared hot-swap preamble of both runtimes. The delta is computed
-/// here, against the runtime's *installed* snapshot — never taken from
-/// the caller: a plan can accumulate several mutations between swaps
+/// The hot-swap preamble. The delta is computed here, against the
+/// runtime's *installed* snapshot — never taken from the caller: a plan
+/// can accumulate several mutations between swaps
 /// (including one whose swap was previously refused), and trusting a
 /// per-mutation delta would let the ops of the earlier mutations slip
 /// into the workers via `apply_delta` without a partition report or a
@@ -287,423 +279,6 @@ fn process_tagged<S: MergeSink>(
     Ok(())
 }
 
-/// The partition-parallel runtime: `n` plan clones behind a static router.
-pub struct ShardedRuntime<S: MergeSink> {
-    workers: Vec<Worker<S>>,
-    scheme: PartitionScheme,
-    /// Per-m-op key reports backing `scheme`, refreshed incrementally on
-    /// [`ShardedRuntime::update_plan`].
-    reports: Vec<(MopId, PartitionKeys)>,
-    /// Snapshot of the plan the workers actually run — hot-swap deltas
-    /// are computed against this, not against whatever the caller thinks
-    /// changed.
-    installed: PlanSnapshot,
-    /// Per-source round-robin cursors (kept per source so one source's
-    /// distribution is independent of how sources interleave).
-    rr_cursors: Vec<usize>,
-    /// Every route is round-robin: batch calls split the input into
-    /// contiguous zero-copy segments instead of routing per event.
-    all_round_robin: bool,
-    /// Some route is a split ([`SourceRoute::PinnedSplit`] /
-    /// [`SourceRoute::KeySplit`]): batch calls stage scope-tagged index
-    /// deliveries instead of plain index lists.
-    has_split: bool,
-    /// Per-worker index staging (keyed/pinned schemes without splits):
-    /// each worker gets the indices of its share of the caller's batch —
-    /// no tuple is cloned on the routing side. Reused across
-    /// [`ShardedRuntime::push_batch`] calls.
-    index_bufs: Vec<Vec<u32>>,
-    /// Per-worker scope-tagged index staging (split schemes only).
-    tagged_bufs: Vec<Vec<(ConeScope, u32)>>,
-    /// Source events accepted (a split delivery counts once).
-    accepted: u64,
-    /// [`EventRuntime::finish`] has been called: every further lifecycle
-    /// call returns [`RumorError::Finished`].
-    finished: bool,
-}
-
-impl<S: MergeSink + Default> ShardedRuntime<S> {
-    /// Compiles `plan` into `n` worker clones (n ≥ 1) and computes the
-    /// routing scheme from the compiled operators' key reports.
-    pub fn new(plan: &PlanGraph, n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(RumorError::exec("sharded runtime needs n >= 1".to_string()));
-        }
-        let mut workers = Vec::with_capacity(n);
-        for _ in 0..n {
-            workers.push(Worker {
-                exec: ExecutablePlan::new(plan)?,
-                sink: S::default(),
-            });
-        }
-        let reports = workers[0].exec.partition_reports();
-        let scheme = analyze_partitioning(plan, &reports)?;
-        let n_sources = scheme.routes().len();
-        let all_round_robin = scheme
-            .routes()
-            .iter()
-            .all(|r| matches!(r, SourceRoute::RoundRobin));
-        let has_split = scheme
-            .routes()
-            .iter()
-            .any(|r| matches!(r, SourceRoute::PinnedSplit | SourceRoute::KeySplit(_)));
-        Ok(ShardedRuntime {
-            workers,
-            scheme,
-            reports,
-            installed: plan.snapshot(),
-            rr_cursors: vec![0; n_sources],
-            all_round_robin,
-            has_split,
-            index_bufs: vec![Vec::new(); n],
-            tagged_bufs: vec![Vec::new(); n],
-            accepted: 0,
-            finished: false,
-        })
-    }
-}
-
-impl<S: MergeSink> ShardedRuntime<S> {
-    /// Number of workers.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The routing scheme in force.
-    pub fn scheme(&self) -> &PartitionScheme {
-        &self.scheme
-    }
-
-    /// Whether the scheme lets more than one worker do useful work.
-    pub fn is_parallelizable(&self) -> bool {
-        self.scheme.is_parallelizable()
-    }
-
-    /// Source events accepted (a [`SourceRoute::PinnedSplit`] delivery
-    /// counts once even though two workers observe it).
-    pub fn events_in(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Deliveries processed per worker — the load-balance metric (a pinned
-    /// component shows up as worker 0 carrying its whole stream). Under a
-    /// split scheme the per-worker counts sum to more than
-    /// [`ShardedRuntime::events_in`]: both legs of a split delivery count.
-    pub fn worker_events(&self) -> Vec<u64> {
-        self.workers.iter().map(|w| w.exec.events_in).collect()
-    }
-
-    /// Per-m-op execution counters folded across all workers (counters and
-    /// state gauges sum; gate state is worker 0's view). Usable at any
-    /// point in the lifecycle — the workers are retained after `finish`.
-    pub fn exec_stats(&self) -> ExecStatsReport {
-        let mut acc = ExecStatsReport::default();
-        for w in &self.workers {
-            acc.absorb(&w.exec.stats_report());
-        }
-        acc
-    }
-
-    fn route(&mut self, source: SourceId, tuple: &Tuple) -> Result<Routed> {
-        route_event(
-            &self.scheme,
-            &mut self.rr_cursors,
-            self.workers.len(),
-            source,
-            tuple,
-        )
-    }
-
-    fn ensure_live(&self, op: &str) -> Result<()> {
-        if self.finished {
-            return Err(RumorError::finished(op));
-        }
-        Ok(())
-    }
-
-    /// Routes and processes one source tuple (inline, on the caller's
-    /// thread). Tuples must arrive in global timestamp order.
-    pub fn push(&mut self, source: SourceId, tuple: Tuple) -> Result<()> {
-        self.ensure_live("push")?;
-        match self.route(source, &tuple)? {
-            Routed::One(w) => {
-                let worker = &mut self.workers[w];
-                worker.exec.push(source, tuple, &mut worker.sink)?;
-            }
-            Routed::Split { free, stateful } => {
-                // Stateless leg first (it owns the source-channel taps),
-                // matching the per-event engine's taps-then-operators order.
-                let worker = &mut self.workers[free];
-                worker.exec.push_cone(
-                    source,
-                    tuple.clone(),
-                    ConeScope::Stateless,
-                    &mut worker.sink,
-                )?;
-                let worker = &mut self.workers[stateful];
-                worker
-                    .exec
-                    .push_cone(source, tuple, ConeScope::Stateful, &mut worker.sink)?;
-            }
-        }
-        self.accepted += 1;
-        Ok(())
-    }
-
-    /// Routes a timestamp-ordered event slice across the workers and runs
-    /// them in parallel (scoped threads), one
-    /// [`ExecutablePlan::push_batch`] /
-    /// [`ExecutablePlan::push_batch_indexed`] call per worker per call.
-    ///
-    /// Fully stateless schemes (every route round-robin) skip per-event
-    /// routing entirely: the slice is split into `n` contiguous segments
-    /// consumed zero-copy, which is the optimal stateless distribution for
-    /// a batch — equal load, maximal channel-run lengths per worker, no
-    /// tuple clones. Keyed and pinned routes take the per-event router but
-    /// stay zero-copy too: routing only records per-worker *index lists*
-    /// into the caller's slice, and each worker feeds its selection of the
-    /// shared batch through the same chunked batch machinery. Split routes
-    /// ([`SourceRoute::PinnedSplit`] / [`SourceRoute::KeySplit`]) stage
-    /// scope-tagged indices — one shared allocation, two scoped legs.
-    ///
-    /// Unlike [`ExecutablePlan::push_batch`], an unknown source fails the
-    /// whole call up front: routing validates every event before any worker
-    /// processes anything.
-    pub fn push_batch(&mut self, events: &[(SourceId, Tuple)]) -> Result<()> {
-        self.ensure_live("push_batch")?;
-        if let Some((source, _)) = events
-            .iter()
-            .find(|(s, _)| s.index() >= self.rr_cursors.len())
-        {
-            return Err(RumorError::exec(format!("unknown source {source}")));
-        }
-        self.accepted += events.len() as u64;
-        if self.workers.len() == 1 {
-            let worker = &mut self.workers[0];
-            return worker.exec.push_batch(events, &mut worker.sink);
-        }
-        if self.all_round_robin {
-            let n = self.workers.len();
-            return self.run_workers(|w| {
-                let (lo, hi) = segment(events.len(), n, w);
-                &events[lo..hi]
-            });
-        }
-        if self.has_split {
-            for buf in &mut self.tagged_bufs {
-                buf.clear();
-            }
-            for (i, (source, tuple)) in events.iter().enumerate() {
-                match self.route(*source, tuple)? {
-                    Routed::One(w) => {
-                        self.tagged_bufs[w].push((ConeScope::Full, i as u32));
-                    }
-                    Routed::Split { free, stateful } => {
-                        self.tagged_bufs[free].push((ConeScope::Stateless, i as u32));
-                        self.tagged_bufs[stateful].push((ConeScope::Stateful, i as u32));
-                    }
-                }
-            }
-            let bufs = std::mem::take(&mut self.tagged_bufs);
-            let outcome = self.run_tagged_workers(events, &bufs);
-            self.tagged_bufs = bufs;
-            return outcome;
-        }
-        for buf in &mut self.index_bufs {
-            buf.clear();
-        }
-        for (i, (source, tuple)) in events.iter().enumerate() {
-            let w = match self.route(*source, tuple)? {
-                Routed::One(w) => w,
-                Routed::Split { .. } => unreachable!("split routes take the tagged path"),
-            };
-            self.index_bufs[w].push(i as u32);
-        }
-        let bufs = std::mem::take(&mut self.index_bufs);
-        let outcome = self.run_indexed_workers(events, &bufs);
-        self.index_bufs = bufs;
-        outcome
-    }
-
-    /// Runs every worker with a non-empty scope-tagged share on its own
-    /// scoped thread (split schemes). Shares are index selections of the
-    /// one `events` slice every thread borrows.
-    fn run_tagged_workers(
-        &mut self,
-        events: &[(SourceId, Tuple)],
-        bufs: &[Vec<(ConeScope, u32)>],
-    ) -> Result<()> {
-        let mut outcomes: Vec<Result<()>> = Vec::with_capacity(self.workers.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .enumerate()
-                .filter(|(w, _)| !bufs[*w].is_empty())
-                .map(|(w, worker)| {
-                    let items = bufs[w].as_slice();
-                    scope.spawn(move || {
-                        let mut scratch = Vec::new();
-                        process_tagged(
-                            &mut worker.exec,
-                            &mut worker.sink,
-                            events,
-                            items,
-                            &mut scratch,
-                        )
-                    })
-                })
-                .collect();
-            for h in handles {
-                outcomes.push(h.join().unwrap_or_else(|_| {
-                    Err(RumorError::exec("sharded worker panicked".to_string()))
-                }));
-            }
-        });
-        outcomes.into_iter().collect()
-    }
-
-    /// Runs every worker with a non-empty index share on its own scoped
-    /// thread (keyed/pinned schemes without splits): each worker consumes
-    /// its selection of the shared `events` slice zero-copy.
-    fn run_indexed_workers(
-        &mut self,
-        events: &[(SourceId, Tuple)],
-        bufs: &[Vec<u32>],
-    ) -> Result<()> {
-        let mut outcomes: Vec<Result<()>> = Vec::with_capacity(self.workers.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .enumerate()
-                .filter(|(w, _)| !bufs[*w].is_empty())
-                .map(|(w, worker)| {
-                    let indices = bufs[w].as_slice();
-                    scope.spawn(move || {
-                        worker
-                            .exec
-                            .push_batch_indexed(events, indices, &mut worker.sink)
-                    })
-                })
-                .collect();
-            for h in handles {
-                outcomes.push(h.join().unwrap_or_else(|_| {
-                    Err(RumorError::exec("sharded worker panicked".to_string()))
-                }));
-            }
-        });
-        outcomes.into_iter().collect()
-    }
-
-    /// Runs every worker with a non-empty share on its own scoped thread.
-    fn run_workers<'a>(
-        &mut self,
-        share: impl Fn(usize) -> &'a [(SourceId, Tuple)] + Sync,
-    ) -> Result<()> {
-        let mut outcomes: Vec<Result<()>> = Vec::with_capacity(self.workers.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .enumerate()
-                .filter(|(w, _)| !share(*w).is_empty())
-                .map(|(w, worker)| {
-                    let share = &share;
-                    scope.spawn(move || worker.exec.push_batch(share(w), &mut worker.sink))
-                })
-                .collect();
-            for h in handles {
-                outcomes.push(h.join().unwrap_or_else(|_| {
-                    Err(RumorError::exec("sharded worker panicked".to_string()))
-                }));
-            }
-        });
-        outcomes.into_iter().collect()
-    }
-
-    /// Hot-swaps every worker's compiled plan onto a mutated plan graph —
-    /// the one-shot runtime's half of the epoch protocol. Calls are
-    /// synchronous (workers only run inside `push_batch`), so the epoch
-    /// boundary is implicit: this re-derives the routing scheme
-    /// incrementally for everything that changed since the last installed
-    /// plan (the runtime tracks that itself — accumulated mutations,
-    /// including ones whose swap was previously refused, are all
-    /// accounted for) and applies [`ExecutablePlan::apply_delta`] on
-    /// every worker clone, carrying untouched operators' state across.
-    /// Fails without touching any worker when the new scheme would
-    /// re-route a source feeding surviving stateful state.
-    pub fn update_plan(&mut self, plan: &PlanGraph) -> Result<()> {
-        self.ensure_live("update_plan")?;
-        let (scheme, reports) = prepare_swap(plan, &self.installed, &self.scheme, &self.reports)?;
-        // `prepare_swap` already instantiated every delta-touched op from
-        // the same contexts the workers resolve, so per-worker
-        // `apply_delta` cannot fail here short of allocation failure —
-        // and `apply_delta` itself leaves a worker untouched on error.
-        for worker in &mut self.workers {
-            worker.exec.apply_delta(plan)?;
-        }
-        self.all_round_robin = scheme
-            .routes()
-            .iter()
-            .all(|r| matches!(r, SourceRoute::RoundRobin));
-        self.has_split = scheme
-            .routes()
-            .iter()
-            .any(|r| matches!(r, SourceRoute::PinnedSplit | SourceRoute::KeySplit(_)));
-        self.rr_cursors.resize(scheme.routes().len(), 0);
-        self.scheme = scheme;
-        self.reports = reports;
-        self.installed = plan.snapshot();
-        Ok(())
-    }
-
-    /// Takes and merges everything the per-worker sinks accumulated since
-    /// the last drain (worker 0 first, then [`MergeSink::finalize`]),
-    /// leaving fresh default sinks in place. Workers only run inside
-    /// `push`/`push_batch` calls, so there is never in-flight work to wait
-    /// for; valid after [`EventRuntime::finish`] — that is how the final
-    /// results get out.
-    pub fn drain_sink(&mut self) -> S
-    where
-        S: Default,
-    {
-        let mut it = self.workers.iter_mut();
-        let mut acc = std::mem::take(&mut it.next().expect("n >= 1 workers").sink);
-        for w in it {
-            acc.merge(std::mem::take(&mut w.sink));
-        }
-        acc.finalize();
-        acc
-    }
-}
-
-impl<S: MergeSink + Default> EventRuntime for ShardedRuntime<S> {
-    fn push(&mut self, source: SourceId, tuple: Tuple) -> Result<()> {
-        ShardedRuntime::push(self, source, tuple)
-    }
-
-    fn push_batch(&mut self, events: &[(SourceId, Tuple)]) -> Result<()> {
-        ShardedRuntime::push_batch(self, events)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        // Workers run synchronously inside the push calls; the barrier is
-        // trivially satisfied.
-        self.ensure_live("flush")
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        self.ensure_live("finish")?;
-        self.finished = true;
-        Ok(())
-    }
-
-    fn update_plan(&mut self, plan: &PlanGraph) -> Result<()> {
-        ShardedRuntime::update_plan(self, plan)
-    }
-}
-
 // ----------------------------------------------------------------------
 // The persistent streaming worker pool.
 // ----------------------------------------------------------------------
@@ -764,8 +339,8 @@ enum WorkerMsg<S> {
     /// every previously sent delivery is reflected in the shipped sink.
     Drain(Sender<S>),
     /// Mid-stream stats handoff: the worker ships a snapshot of its
-    /// executor's per-op counters and gate state. Like [`WorkerMsg::Drain`],
-    /// queue FIFO makes the reply reflect every previously sent delivery.
+    /// executor's per-op counters. Like [`WorkerMsg::Drain`], queue FIFO
+    /// makes the reply reflect every previously sent delivery.
     Stats(Sender<ExecStatsReport>),
 }
 
@@ -961,13 +536,9 @@ impl Staged {
 
 /// The persistent streaming shard pool: `n` long-lived workers, each
 /// owning a full [`ExecutablePlan`] clone and a private sink, fed over
-/// bounded channels by the same static partition router as
-/// [`ShardedRuntime`].
-///
-/// Where [`ShardedRuntime::push_batch`] spawns scoped threads per call —
-/// fine for large one-shot batches, wasteful for small or streaming ones —
-/// this runtime spawns its workers once at construction and streams
-/// deliveries to them for its whole lifetime:
+/// bounded channels by the static partition router. Workers are spawned
+/// once at construction and stream deliveries for the pool's whole
+/// lifetime:
 ///
 /// * [`StreamingShardedRuntime::push`] /
 ///   [`StreamingShardedRuntime::push_batch`] /
@@ -986,8 +557,8 @@ impl Staged {
 ///   empty default sink instead of panicking.
 ///
 /// Per-worker delivery order equals global arrival order restricted to
-/// that worker (routing never reorders, queues are FIFO), so results are
-/// exactly those of [`ShardedRuntime`] over the same input split.
+/// that worker (routing never reorders, queues are FIFO), so per-query
+/// results are exactly those of the single-threaded engine.
 pub struct StreamingShardedRuntime<S: MergeSink + Default + Send + 'static> {
     txs: Vec<Sender<WorkerMsg<S>>>,
     handles: Vec<JoinHandle<WorkerOutcome<S>>>,
@@ -999,8 +570,9 @@ pub struct StreamingShardedRuntime<S: MergeSink + Default + Send + 'static> {
     /// Per-m-op key reports backing `scheme`, refreshed incrementally on
     /// [`StreamingShardedRuntime::update_plan`].
     reports: Vec<(MopId, PartitionKeys)>,
-    /// Snapshot of the plan the workers actually run (see
-    /// [`ShardedRuntime`]'s field of the same name).
+    /// Snapshot of the plan the workers actually run — hot-swap deltas
+    /// are computed against this, not against whatever the caller thinks
+    /// changed.
     installed: PlanSnapshot,
     rr_cursors: Vec<usize>,
     all_round_robin: bool,
@@ -1263,7 +835,8 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
     /// Routes a timestamp-ordered event slice into the pool. An unknown
     /// source fails the whole call before anything is staged. Fully
     /// stateless schemes skip per-event routing: the slice is split into
-    /// `n` contiguous segments, exactly like [`ShardedRuntime::push_batch`].
+    /// `n` contiguous segments — equal load, maximal channel-run lengths
+    /// per worker.
     pub fn push_batch(&mut self, events: &[(SourceId, Tuple)]) -> Result<()> {
         self.ensure_live("push_batch")?;
         if let Some((source, _)) = events
@@ -1280,8 +853,7 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
     fn push_batch_validated(&mut self, events: &[(SourceId, Tuple)]) -> Result<()> {
         if self.all_round_robin && self.txs.len() > 1 {
             // Stateless scheme: contiguous segments per worker (the optimal
-            // stateless distribution, as in [`ShardedRuntime::push_batch`]),
-            // bulk-appended to the staged run without per-event routing.
+            // stateless distribution), bulk-appended to the staged run without per-event routing.
             let n = self.txs.len();
             for w in 0..n {
                 let (lo, hi) = segment(events.len(), n, w);
@@ -1322,13 +894,12 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
     /// caller gives the pool a refcounted batch, and no per-tuple clone
     /// happens anywhere. Fully stateless schemes ship each worker a
     /// *range* of that one allocation — the zero-copy equivalent of
-    /// [`ShardedRuntime::push_batch`]'s contiguous-segment path. Keyed,
-    /// pinned, and split schemes route per event but ship each worker a
+    /// [`StreamingShardedRuntime::push_batch`]'s contiguous-segment path.
+    /// Keyed, pinned, and split schemes route per event but ship each worker a
     /// scope-tagged *index selection* of the same shared allocation
     /// (`Delivery::SharedTagged`): one refcount bump per delivery
     /// message instead of one tuple clone per event, and the worker feeds
-    /// its selection through the chunked batch machinery
-    /// ([`ExecutablePlan::push_batch_indexed`]). Prefer this entry point
+    /// its selection through [`ExecutablePlan::push_batch_indexed`]. Prefer this entry point
     /// whenever the batch is already an owned allocation.
     pub fn push_batch_shared(&mut self, events: Arc<Vec<(SourceId, Tuple)>>) -> Result<()> {
         self.ensure_live("push_batch_shared")?;
@@ -1671,6 +1242,10 @@ mod tests {
         sink
     }
 
+    fn pool(plan: &PlanGraph, n: usize) -> StreamingShardedRuntime<CollectingSink> {
+        StreamingShardedRuntime::new(plan, n).unwrap()
+    }
+
     fn sorted_of(sink: &CollectingSink, q: QueryId) -> Vec<String> {
         let mut v: Vec<String> = sink.of(q).iter().map(|t| t.to_string()).collect();
         v.sort();
@@ -1686,15 +1261,16 @@ mod tests {
         let events = interleaved(&plan, 60);
         let want = reference(&plan, &events);
         for n in [1, 2, 4] {
-            let mut rt: ShardedRuntime<CollectingSink> = ShardedRuntime::new(&plan, n).unwrap();
+            let mut rt = pool(&plan, n);
             assert_eq!(rt.scheme().count(Verdict::Stateless), 2);
             rt.push_batch(&events).unwrap();
             assert_eq!(rt.events_in(), 60);
+            EventRuntime::finish(&mut rt).unwrap();
             if n > 1 {
                 let per_worker = rt.worker_events();
                 assert!(per_worker.iter().all(|&e| e > 0), "{per_worker:?}");
             }
-            let got = rt.drain_sink();
+            let got = rt.drain_sink().unwrap();
             for &q in &qs {
                 assert_eq!(sorted_of(&got, q), sorted_of(&want, q), "n={n}");
             }
@@ -1714,12 +1290,12 @@ mod tests {
             )]);
         let events = interleaved(&plan, 120);
         let want = reference(&plan, &events);
-        let mut rt: ShardedRuntime<CollectingSink> = ShardedRuntime::new(&plan, 4).unwrap();
+        let mut rt = pool(&plan, 4);
         assert_eq!(rt.scheme().count(Verdict::Keyed), 1);
         let s = plan.source_by_name("S").unwrap().id;
         assert_eq!(*rt.scheme().route(s), SourceRoute::Key(vec![0]));
         rt.push_batch(&events).unwrap();
-        let got = rt.drain_sink();
+        let got = rt.drain_sink().unwrap();
         assert!(!want.results.is_empty());
         for &q in &qs {
             assert_eq!(sorted_of(&got, q), sorted_of(&want, q));
@@ -1737,12 +1313,13 @@ mod tests {
         )]);
         let events = interleaved(&plan, 80);
         let want = reference(&plan, &events);
-        let mut rt: ShardedRuntime<CollectingSink> = ShardedRuntime::new(&plan, 4).unwrap();
+        let mut rt = pool(&plan, 4);
         assert_eq!(rt.scheme().count(Verdict::Pinned), 1);
         assert!(!rt.is_parallelizable());
         rt.push_batch(&events).unwrap();
+        EventRuntime::finish(&mut rt).unwrap();
         assert_eq!(rt.worker_events(), vec![80, 0, 0, 0]);
-        let got = rt.drain_sink();
+        let got = rt.drain_sink().unwrap();
         for &q in &qs {
             assert_eq!(sorted_of(&got, q), sorted_of(&want, q));
         }
@@ -1763,13 +1340,13 @@ mod tests {
                 ),
         ]);
         let events = interleaved(&plan, 90);
-        let mut a: ShardedRuntime<CollectingSink> = ShardedRuntime::new(&plan, 3).unwrap();
+        let mut a = pool(&plan, 3);
         for (src, t) in &events {
             a.push(*src, t.clone()).unwrap();
         }
-        let mut b: ShardedRuntime<CollectingSink> = ShardedRuntime::new(&plan, 3).unwrap();
+        let mut b = pool(&plan, 3);
         b.push_batch(&events).unwrap();
-        let (a, b) = (a.drain_sink(), b.drain_sink());
+        let (a, b) = (a.drain_sink().unwrap(), b.drain_sink().unwrap());
         for &q in &qs {
             assert_eq!(sorted_of(&a, q), sorted_of(&b, q));
         }
@@ -1778,22 +1355,17 @@ mod tests {
     #[test]
     fn single_worker_results_obey_merge_order() {
         // With n = 1 no merge runs; finalize must still establish the
-        // (ts, query) contract order, which the hybrid drain's phase split
-        // (batched stateless results first, strict results after) breaks.
+        // (ts, query) contract order, which the batched drain's level
+        // order (every source-channel tap of a chunk, then every
+        // selection result) breaks.
         let (plan, _) = optimized(&[
+            LogicalPlan::source("S"),
             LogicalPlan::source("S").select(Predicate::True),
-            LogicalPlan::source("S").followed_by(
-                LogicalPlan::source("T"),
-                SeqSpec {
-                    predicate: Predicate::cmp(CmpOp::Eq, Expr::col(0), Expr::rcol(0)),
-                    window: 20,
-                },
-            ),
         ]);
         let events = interleaved(&plan, 60);
-        let mut rt: ShardedRuntime<CollectingSink> = ShardedRuntime::new(&plan, 1).unwrap();
+        let mut rt = pool(&plan, 1);
         rt.push_batch(&events).unwrap();
-        let results = rt.drain_sink().results;
+        let results = rt.drain_sink().unwrap().results;
         assert!(!results.is_empty());
         let keys: Vec<(u64, u32)> = results.iter().map(|(q, t)| (t.ts, q.0)).collect();
         let mut sorted = keys.clone();
@@ -1802,20 +1374,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_source_fails_before_processing() {
-        let (plan, _) = optimized(&[LogicalPlan::source("S").select(Predicate::True)]);
-        let mut rt: ShardedRuntime<CountingSink> = ShardedRuntime::new(&plan, 2).unwrap();
-        let s = plan.source_by_name("S").unwrap().id;
-        let events = vec![
-            (s, Tuple::ints(0, &[1, 0, 0])),
-            (SourceId(9), Tuple::ints(1, &[1, 0, 0])),
-        ];
-        assert!(rt.push_batch(&events).is_err());
-        assert_eq!(rt.events_in(), 0);
-    }
-
-    #[test]
-    fn streaming_matches_one_shot_across_worker_counts() {
+    fn streaming_matches_per_event_reference_across_worker_counts() {
         let (plan, qs) = optimized(&[
             LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)),
             LogicalPlan::source("S")
@@ -1968,30 +1527,10 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_finish_misuse_is_typed() {
-        let (plan, _) = optimized(&[LogicalPlan::source("S").select(Predicate::True)]);
-        let mut rt: ShardedRuntime<CollectingSink> = ShardedRuntime::new(&plan, 2).unwrap();
-        let s = plan.source_by_name("S").unwrap().id;
-        rt.push(s, Tuple::ints(0, &[1, 0, 0])).unwrap();
-        EventRuntime::finish(&mut rt).unwrap();
-        assert_eq!(rt.drain_sink().results.len(), 1);
-        assert!(rt.drain_sink().results.is_empty(), "drained once");
-        for err in [
-            EventRuntime::finish(&mut rt),
-            EventRuntime::flush(&mut rt),
-            rt.push(s, Tuple::ints(1, &[1, 0, 0])),
-            rt.push_batch(&[]),
-            rt.update_plan(&plan),
-        ] {
-            assert!(matches!(err, Err(RumorError::Finished(_))), "{err:?}");
-        }
-    }
-
-    #[test]
     fn streaming_mid_stream_drain_keeps_pool_live() {
         // drain_sink is a delivery point, not a shutdown: results drained
         // mid-stream plus results drained at the end must equal the
-        // one-shot total, and the pool keeps accepting events in between.
+        // per-event reference's total, and the pool keeps accepting events in between.
         let (plan, qs) =
             optimized(&[LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64))]);
         let events = interleaved(&plan, 80);
@@ -2074,18 +1613,19 @@ mod tests {
         let s = plan.source_by_name("S").unwrap().id;
         let t = plan.source_by_name("T").unwrap().id;
         for n in [2usize, 4] {
-            let mut rt: ShardedRuntime<CollectingSink> = ShardedRuntime::new(&plan, n).unwrap();
+            let mut rt = pool(&plan, n);
             assert_eq!(*rt.scheme().route(s), SourceRoute::PinnedSplit);
             assert_eq!(*rt.scheme().route(t), SourceRoute::Pinned);
             assert!(rt.is_parallelizable());
             rt.push_batch(&events).unwrap();
             assert_eq!(rt.events_in(), 80, "split deliveries must count once");
+            EventRuntime::finish(&mut rt).unwrap();
             let per_worker = rt.worker_events();
             assert!(
                 per_worker[1..].iter().any(|&e| e > 0),
                 "stateless legs must leave worker 0: {per_worker:?}"
             );
-            let got = rt.drain_sink();
+            let got = rt.drain_sink().unwrap();
             for &q in &qs {
                 assert_eq!(sorted_of(&got, q), sorted_of(&want, q), "n={n}");
             }
@@ -2163,7 +1703,10 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_update_plan_hot_swaps_workers() {
+    fn update_plan_hot_swaps_a_pinned_split_pool() {
+        // The streaming test above swaps a keyed scheme; this one swaps a
+        // pinned-split scheme (unkeyed sequence + stateless sibling) and
+        // checks the surviving queries against the per-event reference.
         use rumor_core::Optimizer as Opt;
         let (mut plan, qs) = optimized(&[
             LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)),
@@ -2177,7 +1720,7 @@ mod tests {
         ]);
         let original = plan.clone();
         let events = interleaved(&plan, 120);
-        let mut rt: ShardedRuntime<CollectingSink> = ShardedRuntime::new(&plan, 3).unwrap();
+        let mut rt = pool(&plan, 3);
         rt.push_batch(&events[..60]).unwrap();
         let optimizer = Opt::new(OptimizerConfig::default());
         let added = optimizer
@@ -2188,7 +1731,7 @@ mod tests {
             .unwrap();
         rt.update_plan(&plan).unwrap();
         rt.push_batch(&events[60..]).unwrap();
-        let got = rt.drain_sink();
+        let got = rt.drain_sink().unwrap();
         let want = reference(&original, &events);
         for &q in &qs {
             assert_eq!(sorted_of(&got, q), sorted_of(&want, q));

@@ -1,5 +1,5 @@
-//! Runtime introspection: always-on per-m-op counters, dispatch-gate and
-//! backpressure visibility, the paper's sharing-benefit metric measured
+//! Runtime introspection: always-on per-m-op counters, backpressure
+//! visibility, the paper's sharing-benefit metric measured
 //! live — and the time domain: latency [`Histogram`]s, sampled per-m-op
 //! wall-time attribution, a bounded [`TraceRing`] flight recorder, and an
 //! interval [`Meter`].
@@ -7,7 +7,7 @@
 //! The layer is deliberately cheap: each executor owns plain `u64`
 //! counters bumped inline at its dispatch sites (no atomics on the hot
 //! path — per-worker executors are single-threaded by construction) and
-//! the shard runtimes fold the per-worker counters at the same barriers
+//! the shard runtime folds the per-worker counters at the same barriers
 //! that already merge sinks. Wall time is *sampled*: one dispatch in
 //! [`TIME_SAMPLE_EVERY`] is bracketed with `Instant` reads and the total
 //! is scaled back up by the event ratio, so the hot loop pays a counter
@@ -29,8 +29,6 @@ use std::time::Instant;
 
 use rumor_core::plan::{PlanGraph, Producer};
 use rumor_types::{MopId, QueryId};
-
-use crate::metrics::FeedMode;
 
 /// Whether counter updates are compiled in. `false` when the engine was
 /// built with the `stats-off` feature (the overhead-guard baseline).
@@ -371,16 +369,15 @@ pub fn trace_clock_nanos() -> u64 {
 pub struct TraceEvent {
     /// Nanoseconds since the process trace epoch ([`trace_clock_nanos`]).
     pub at_nanos: u64,
-    /// Stable event kind (`gate_freeze`, `swap_quiesce`,
-    /// `backpressure_stall`, ...).
+    /// Stable event kind (`swap_quiesce`, `backpressure_stall`, ...).
     pub kind: &'static str,
     /// Human-readable detail.
     pub detail: String,
 }
 
 /// A bounded in-memory flight recorder: the last `capacity` runtime
-/// transitions, oldest evicted first. Kept per executor / runtime /
-/// session and merged (sorted by timestamp) in
+/// transitions, oldest evicted first. Kept per streaming pool and per
+/// session, and merged (sorted by timestamp) in
 /// [`Session::trace`](crate::session::Session::trace).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRing {
@@ -469,7 +466,7 @@ pub struct OpCounters {
     pub events_in: u64,
     /// Events the operator emitted downstream.
     pub events_out: u64,
-    /// Batched invocations (`process_batch` / `process_batch_keyed`).
+    /// Batched invocations (`process_batch`).
     pub batch_calls: u64,
     /// Per-event invocations (`process`).
     pub event_calls: u64,
@@ -605,41 +602,19 @@ impl OpStats {
     }
 }
 
-/// The adaptive dispatch gate's state for one plan component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GateStats {
-    /// Component index (parallel to the executor's component table).
-    pub component: usize,
-    /// The mode the gate currently believes faster.
-    pub mode: FeedMode,
-    /// Whether the gate has frozen its choice (probing stopped).
-    pub frozen: bool,
-    /// A process-wide forced mode (`RUMOR_FORCE_PER_EVENT` /
-    /// `RUMOR_FORCE_BATCHED`), if pinned.
-    pub forced: Option<FeedMode>,
-}
-
-/// One executor's full stats report: per-op counters, gate state, and the
-/// executor's retained flight-recorder events. Shard runtimes fold
-/// per-worker reports with [`ExecStatsReport::absorb`].
+/// One executor's stats report: per-op counters and state gauges. Shard
+/// runtimes fold per-worker reports with [`ExecStatsReport::absorb`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecStatsReport {
     /// Per-op counters, in the executor's operator order.
     pub ops: Vec<OpStats>,
-    /// Per-component gate state (worker 0's view after a fold — the gate
-    /// adapts independently per worker).
-    pub gates: Vec<GateStats>,
-    /// Flight-recorder events retained by the executor (gate flips and
-    /// freezes). Folding concatenates; consumers sort by timestamp.
-    pub trace: Vec<TraceEvent>,
 }
 
 impl ExecStatsReport {
     /// Folds another worker's report into this one: counters and state
-    /// gauges sum per op; gate state keeps the first (worker 0) view;
-    /// trace events concatenate.
+    /// gauges sum per op.
     pub fn absorb(&mut self, other: &ExecStatsReport) {
-        if self.ops.is_empty() && self.gates.is_empty() {
+        if self.ops.is_empty() {
             *self = other.clone();
             return;
         }
@@ -655,7 +630,6 @@ impl ExecStatsReport {
             mine.sampled_calls += theirs.sampled_calls;
             mine.sampled_events += theirs.sampled_events;
         }
-        self.trace.extend(other.trace.iter().cloned());
     }
 }
 
@@ -664,7 +638,7 @@ impl ExecStatsReport {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Per-worker high-water mark of the dispatch queue depth (streaming
-    /// pool only; empty for the local and one-shot backends).
+    /// pool only; empty for the local backend).
     pub queue_depth_hwm: Vec<u64>,
     /// Dispatches that found the worker queue full and fell back to a
     /// blocking send — the backpressure count (streaming pool only).
@@ -728,12 +702,12 @@ pub struct QuerySharing {
 /// A point-in-time, engine-independent view of the whole runtime.
 ///
 /// Counters are cumulative since session construction; gauges
-/// (`state_size`, `queue_depth_hwm`, gate state) are the value at
+/// (`state_size`, `queue_depth_hwm`) are the value at
 /// snapshot time. Serialize with [`to_json`](Self::to_json); subtract a
 /// baseline with [`diff`](Self::diff).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
-    /// Backend label: `local`, `sharded`, or `streaming`.
+    /// Backend label: `local` or `streaming`.
     pub engine: &'static str,
     /// Worker count (1 for the local backend).
     pub workers: usize,
@@ -741,8 +715,6 @@ pub struct StatsSnapshot {
     pub events_in: u64,
     /// Per-m-op counters, folded across workers.
     pub ops: Vec<OpStats>,
-    /// Adaptive-gate state per component.
-    pub gates: Vec<GateStats>,
     /// Queue/backpressure/barrier counters.
     pub runtime: RuntimeStats,
     /// Per-query delivered-result counts and latency distributions, one
@@ -789,8 +761,8 @@ impl StatsSnapshot {
 
     /// The counter delta `self − baseline`: per-op and per-query counters
     /// subtract (saturating, matched by id), histograms subtract bucket
-    /// counts; gauges — `state_size`, `queue_depth_hwm`, gate state —
-    /// keep `self`'s value; per-query `events_saved`/`nanos_saved` are
+    /// counts; gauges — `state_size`, `queue_depth_hwm` — keep `self`'s
+    /// value; per-query `events_saved`/`nanos_saved` are
     /// recomputed from the diffed op counters. Take a snapshot before
     /// and after a workload window and diff them to see just that window.
     pub fn diff(&self, baseline: &StatsSnapshot) -> StatsSnapshot {
@@ -851,7 +823,6 @@ impl StatsSnapshot {
             workers: self.workers,
             events_in: self.events_in.saturating_sub(baseline.events_in),
             ops,
-            gates: self.gates.clone(),
             runtime: RuntimeStats {
                 queue_depth_hwm: self.runtime.queue_depth_hwm.clone(),
                 blocking_sends: self
@@ -948,21 +919,6 @@ impl StatsSnapshot {
                 share,
                 o.sampled_calls,
                 comma(i, self.ops.len()),
-            );
-        }
-        out.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"component\": {}, \"mode\": \"{}\", \"frozen\": {}, \"forced\": {}}}{}",
-                g.component,
-                mode_str(g.mode),
-                g.frozen,
-                match g.forced {
-                    Some(m) => format!("\"{}\"", mode_str(m)),
-                    None => "null".to_string(),
-                },
-                comma(i, self.gates.len()),
             );
         }
         out.push_str("  ],\n");
@@ -1228,14 +1184,6 @@ fn nanos_saved(
         .sum()
 }
 
-/// Stable label for a [`FeedMode`] in snapshots and `explain` output.
-pub fn mode_str(mode: FeedMode) -> &'static str {
-    match mode {
-        FeedMode::PerEvent => "per_event",
-        FeedMode::Batched => "batched",
-    }
-}
-
 fn comma(i: usize, len: usize) -> &'static str {
     if i + 1 == len {
         ""
@@ -1273,12 +1221,6 @@ mod tests {
             workers: 1,
             events_in: ops.iter().map(|o| o.events_in).sum(),
             ops,
-            gates: vec![GateStats {
-                component: 0,
-                mode: FeedMode::Batched,
-                frozen: true,
-                forced: None,
-            }],
             runtime: RuntimeStats::default(),
             queries: vec![QueryStats {
                 query: QueryId(0),

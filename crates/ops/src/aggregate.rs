@@ -126,39 +126,6 @@ impl MultiOp for SharedAggregate {
         }
     }
 
-    fn process_batch_keyed(&mut self, _port: PortId, inputs: &[ChannelTuple], out: &mut dyn Emit) {
-        // Unlike the sequence's GC-only horizon, aggregate eviction is
-        // *destructive*: which tuples have been evicted at each event's ts
-        // determines the emitted value, so the run cannot be regrouped by
-        // key — it is walked in arrival order. The batch win is allocation
-        // amortization instead: group keys are built into one reusable
-        // scratch buffer and only materialized when a group is first
-        // touched (the hot existing-group path allocates nothing).
-        let mut key_buf: Vec<ValueKey> = Vec::new();
-        for input in inputs {
-            if !input.belongs_to(self.in_position) {
-                continue;
-            }
-            let tuple = &input.tuple;
-            self.evict(tuple.ts);
-            let v = self.specs[0].input.eval(&EvalCtx::unary(tuple));
-            self.window.push_back((tuple.ts, tuple.clone(), v.clone()));
-            for (idx, (spec, groups)) in self.specs.iter().zip(self.groups.iter_mut()).enumerate() {
-                key_buf.clear();
-                for &i in &spec.group_by {
-                    key_buf.push(tuple.value(i).cloned().unwrap_or(Value::Null).group_key());
-                }
-                if !groups.contains_key(key_buf.as_slice()) {
-                    groups.insert(key_buf.clone(), GroupState::default());
-                }
-                let g = groups.get_mut(key_buf.as_slice()).expect("just ensured");
-                g.add(&v);
-                let row = output_row(tuple, &spec.group_by, g.result(spec.func));
-                self.outputs.emit_one(out, row, idx);
-            }
-        }
-    }
-
     fn partition_keys(&self) -> rumor_core::PartitionKeys {
         // A group's state depends only on the tuples of that group (the
         // shared window buffer is per-group at eviction time, and eviction
@@ -176,12 +143,6 @@ impl MultiOp for SharedAggregate {
         } else {
             rumor_core::PartitionKeys::Grouped { group_by: common }
         }
-    }
-
-    fn port_batch_safe(&self) -> bool {
-        // Single input port: its channel is always delivered in timestamp
-        // order, so port grouping cannot reorder anything this op sees.
-        true
     }
 
     fn state_size(&self) -> usize {
@@ -315,11 +276,6 @@ impl MultiOp for FragmentAggregate {
             group_by.dedup();
             rumor_core::PartitionKeys::Grouped { group_by }
         }
-    }
-
-    fn port_batch_safe(&self) -> bool {
-        // Single input port, same argument as the shared aggregate.
-        true
     }
 
     fn state_size(&self) -> usize {

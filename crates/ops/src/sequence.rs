@@ -346,8 +346,7 @@ impl SharedSequence {
     }
 
     /// Probes one key bucket's entries with `event`: emits and deletes
-    /// matches, drops stale entries in place. Shared by the per-event path
-    /// and the per-key sub-batch path.
+    /// matches, drops stale entries in place.
     fn probe_entries(&mut self, entries: &mut Vec<(u32, u32)>, event: &Tuple, out: &mut dyn Emit) {
         let mut i = 0;
         while i < entries.len() {
@@ -440,90 +439,6 @@ impl MultiOp for SharedSequence {
         }
     }
 
-    fn process_batch_keyed(&mut self, port: PortId, inputs: &[ChannelTuple], out: &mut dyn Emit) {
-        if port.index() == 0 {
-            // Instance arrivals: evict once at the run's first (minimal)
-            // timestamp, then insert in order. Eviction is a pure GC
-            // horizon (the match-time window guard is what enforces
-            // semantics), so deferring later horizons within one run only
-            // delays reclamation, never changes output.
-            let mut evicted = false;
-            for input in inputs {
-                let relevant = if self.channel_mode {
-                    self.left_positions.iter().any(|&pos| input.belongs_to(pos))
-                } else {
-                    input.belongs_to(self.left_positions[0])
-                };
-                if !relevant {
-                    continue;
-                }
-                if !evicted {
-                    self.store
-                        .evict(input.tuple.ts.saturating_sub(self.max_window));
-                    evicted = true;
-                }
-                let key = self.instance_key(&input.tuple);
-                self.store.insert(
-                    input.tuple.ts,
-                    input.tuple.clone(),
-                    input.membership.clone(),
-                    key,
-                );
-            }
-        } else if self.keyed {
-            // AI-indexed events: group the ts-ordered run by key once and
-            // probe each key's bucket with its whole sub-batch — one hash
-            // removal/re-insertion per distinct key per run instead of one
-            // per event. Buckets are disjoint, matches are window-guarded
-            // pairwise, and eviction is a pure GC horizon, so inter-key
-            // reordering cannot change the match set; emissions carry
-            // their event's ts and the engine re-sorts them (the
-            // `process_batch_keyed` contract).
-            let events: Vec<&Tuple> = inputs
-                .iter()
-                .filter(|ct| ct.belongs_to(self.right_position))
-                .map(|ct| &ct.tuple)
-                .collect();
-            let Some(first) = events.first() else {
-                return;
-            };
-            self.store.evict(first.ts.saturating_sub(self.max_window));
-            let mut order: Vec<Vec<ValueKey>> = Vec::new();
-            let mut groups: HashMap<Vec<ValueKey>, Vec<u32>> = HashMap::new();
-            for (i, e) in events.iter().enumerate() {
-                let key = self.event_key(e);
-                match groups.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut o) => {
-                        o.get_mut().push(i as u32)
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        order.push(v.key().clone());
-                        v.insert(vec![i as u32]);
-                    }
-                }
-            }
-            for key in order {
-                let idxs = groups.remove(&key).expect("grouped key listed once");
-                let Some(mut entries) = self.store.buckets.remove(&key) else {
-                    continue;
-                };
-                for &i in &idxs {
-                    self.probe_entries(&mut entries, events[i as usize], out);
-                    if entries.is_empty() {
-                        break;
-                    }
-                }
-                if !entries.is_empty() {
-                    self.store.buckets.insert(key, entries);
-                }
-            }
-        } else {
-            for input in inputs {
-                self.process(port, input, out);
-            }
-        }
-    }
-
     fn partition_keys(&self) -> rumor_core::PartitionKeys {
         // With the AI index active an event only probes (and deletes)
         // instances of its own key, matches are window-guarded pairwise,
@@ -538,15 +453,6 @@ impl MultiOp for SharedSequence {
         } else {
             rumor_core::PartitionKeys::Opaque
         }
-    }
-
-    fn port_batch_safe(&self) -> bool {
-        // Port 0 only writes (instance arrivals read nothing); port 1
-        // guards every match with `start_ts < event.ts` plus the window
-        // bound, and eviction is a pure GC horizon — so probes observe the
-        // per-event state even when same-batch future instances were
-        // inserted early.
-        true
     }
 
     fn state_size(&self) -> usize {
@@ -702,39 +608,6 @@ mod tests {
         // Only the instance with a0=3 < 5 matches (and is deleted).
         assert_eq!(sink.out.len(), 1);
         assert_eq!(op.instance_count(), 1);
-    }
-
-    #[test]
-    fn batch_keyed_matches_per_event_after_ts_sort() {
-        // Interleaved keys: per-key grouping visits key 7 fully before
-        // key 8, but a stable ts-sort of the emissions must reproduce the
-        // per-event sequence exactly (the process_batch_keyed contract).
-        let ctx = shared_ctx(&[10]);
-        let mut batched = SharedSequence::new(&ctx).unwrap();
-        let mut reference = SharedSequence::new(&ctx).unwrap();
-        let inserts: Vec<ChannelTuple> = [(0u64, 7i64), (1, 8), (2, 7), (3, 8)]
-            .iter()
-            .map(|&(ts, k)| ChannelTuple::solo(Tuple::ints(ts, &[k, 0])))
-            .collect();
-        let events: Vec<ChannelTuple> = [(4u64, 8i64), (5, 7), (6, 8), (7, 7), (8, 9)]
-            .iter()
-            .map(|&(ts, k)| ChannelTuple::solo(Tuple::ints(ts, &[k, 1])))
-            .collect();
-        let mut got = VecEmit::default();
-        batched.process_batch_keyed(PortId::LEFT, &inserts, &mut got);
-        batched.process_batch_keyed(PortId::RIGHT, &events, &mut got);
-        let mut want = VecEmit::default();
-        for ct in inserts.iter().chain(events.iter()) {
-            let port = if ct.tuple.value(1) == Some(&rumor_types::Value::Int(0)) {
-                PortId::LEFT
-            } else {
-                PortId::RIGHT
-            };
-            reference.process(port, ct, &mut want);
-        }
-        got.out.sort_by_key(|(_, t, _)| t.ts);
-        assert_eq!(got.out, want.out);
-        assert_eq!(batched.instance_count(), reference.instance_count());
     }
 
     fn channel_ctx(n: usize) -> (PlanGraph, MopContext) {

@@ -33,7 +33,7 @@ use crate::proto::Request;
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Backend for the one shared session (single-threaded by default;
-    /// see [`SessionConfig`] for the parallel engines).
+    /// see [`SessionConfig`] for the worker pool).
     pub session: SessionConfig,
     /// Capacity of the shared command queue. Readers block sending into
     /// it when full — this is the admission-control bound: a client that

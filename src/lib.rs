@@ -71,11 +71,7 @@
 //! results — the differential conformance harness (`tests/conformance.rs`)
 //! pins that byte-for-byte:
 //!
-//! * `session().build()?` — the single-threaded push engine. Fully
-//!   stateless plans batch at channel-run granularity under
-//!   [`EventRuntime::push_batch`]; stateful plans run *hybrid* (stateless
-//!   prefix batched, timestamp-ordered per-event delivery from the first
-//!   stateful m-op; strict fallback where exactness cannot be proven).
+//! * `session().build()?` — the single-threaded push engine.
 //! * `session().workers(n).build()?` — the persistent streaming shard
 //!   pool ([`StreamingShardedRuntime`] underneath): the shared plan is
 //!   cloned across `n` long-lived workers behind bounded queues with
@@ -84,14 +80,17 @@
 //!   components, hashed on consistent keys for key-partitionable ones,
 //!   worker 0 for the stateful subgraph of pinned ones. Tune with
 //!   [`SessionBuilder::streaming`] ([`StreamingConfig`]).
-//! * `session().workers(n).one_shot().build()?` — the one-shot sharded
-//!   runtime ([`ShardedRuntime`] underneath): same router, scoped threads
-//!   per batch call; for inputs already in memory as a few large batches.
+//!
+//! Both engines run the same compiled plan, and how it is walked is a
+//! static function of its shape: a plan whose every m-op is stateless
+//! drains [`EventRuntime::push_batch`] input at channel-run granularity;
+//! a plan with any stateful m-op is fed per event, in timestamp order,
+//! whichever entry point delivered the events.
 //!
 //! See the [`SessionBuilder`] docs for when to pick which engine.
 //! Subscriptions are delivered at *delivery points* — immediately for
 //! the single-threaded session, at `flush`/`finish` barriers for the
-//! parallel ones — and anything produced while a query had no live
+//! worker pool — and anything produced while a query had no live
 //! subscriber stays retrievable via [`Session::collect_all`].
 //!
 //! ## Observability
@@ -99,9 +98,9 @@
 //! Every session keeps always-on runtime counters (compile them out with
 //! the engine crate's `stats-off` feature). [`Session::stats`] returns a
 //! [`StatsSnapshot`] — per-m-op events in/out and selectivity, dispatch
-//! style (batched vs per-event calls) and adaptive-gate state, operator
-//! state sizes, queue pressure and barrier latencies on the parallel
-//! engines, per-query delivery counts, and per-query *sharing
+//! style (batched vs per-event calls), operator state sizes, queue
+//! pressure and barrier latencies on the worker pool, per-query
+//! delivery counts, and per-query *sharing
 //! attribution*: which m-ops each query shares, their fan-in, and the
 //! events saved versus running every query on a private plan — the
 //! paper's benefit metric. Snapshots are plain data: diff two with
@@ -177,11 +176,10 @@
 //! session.finish().unwrap();
 //! ```
 //!
-//! When something *changed* — a gate froze, a swap stalled, backpressure
-//! engaged — [`Session::trace`] dumps the bounded flight recorder as JSON
-//! lines: timestamped runtime transitions journaled across the session,
-//! every executor clone, and the streaming pool, merged on one
-//! process-wide clock:
+//! When something *changed* — a swap stalled, backpressure engaged —
+//! [`Session::trace`] dumps the bounded flight recorder as JSON lines:
+//! timestamped runtime transitions journaled across the session and the
+//! streaming pool, merged on one process-wide clock:
 //!
 //! ```
 //! use rumor::{EventRuntime, OptimizerConfig, Rumor, Tuple};
@@ -265,7 +263,7 @@
 //! a [`RewriteTrace`] per integration), [`Rumor::remove_query`] — or a
 //! `DROP QUERY name;` statement — prunes a retired query's operators, and
 //! [`EventRuntime::update_plan`] hot-swaps the live session in place
-//! (epoch protocol on the worker pools: quiesce at a flush barrier,
+//! (epoch protocol on the worker pool: quiesce at a flush barrier,
 //! install, resume). Operators untouched by the delta keep their state —
 //! a windowed sequence keeps matching straight through an unrelated
 //! add/remove; the churn conformance suite pins this byte-identically.
@@ -285,13 +283,12 @@ pub use rumor_core::{
     SelectivityModel, SeqSpec, SourceRoute, Verdict,
 };
 pub use rumor_engine::{
-    measure, measure_batched, trace_clock_nanos, trace_json_lines, CollectingMeterSink,
-    CollectingSink, ConeScope, CountingSink, DiscardSink, EventRuntime, ExecStatsReport,
-    ExecutablePlan, FeedMode, FileMeterSink, GateStats, Histogram, InputEvent, LocalRuntime,
-    Measurement, MergeSink, Meter, MeterSink, OpStats, Protocol, QuerySharing, QuerySink,
-    QueryStats, Rumor, RuntimeStats, Session, SessionBuilder, SessionConfig, ShardedRuntime,
-    SharedOpRef, StatsSnapshot, StderrMeterSink, StreamingConfig, StreamingShardedRuntime,
-    Subscription, TraceEvent, TraceRing, STATS_COMPILED, TIME_SAMPLE_EVERY,
+    trace_clock_nanos, trace_json_lines, CollectingMeterSink, CollectingSink, ConeScope,
+    CountingSink, DiscardSink, EventRuntime, ExecStatsReport, ExecutablePlan, FileMeterSink,
+    Histogram, LocalRuntime, MergeSink, Meter, MeterSink, OpStats, QuerySharing, QuerySink,
+    QueryStats, Rumor, RuntimeStats, Session, SessionBuilder, SessionConfig, SharedOpRef,
+    StatsSnapshot, StderrMeterSink, StreamingConfig, StreamingShardedRuntime, Subscription,
+    TraceEvent, TraceRing, STATS_COMPILED, TIME_SAMPLE_EVERY,
 };
 pub use rumor_expr::{CmpOp, EvalCtx, Expr, NamedExpr, Predicate, SchemaMap};
 pub use rumor_types::{

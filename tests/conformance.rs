@@ -10,9 +10,9 @@
 //! through ONE generic driver:
 //!
 //! * **modes** — the single-threaded session fed per-event and batched,
-//!   one-shot sharded sessions (several worker counts), and streaming
-//!   sessions (worker counts × batch sizes × feed styles, including the
-//!   zero-copy shared batch and chunked feeds with flush barriers);
+//!   and streaming sessions (worker counts × batch sizes × feed styles,
+//!   including the zero-copy shared batch and chunked feeds with flush
+//!   barriers);
 //! * **workloads** — every partitioning verdict (stateless, keyed,
 //!   pinned, pinned-with-stateless-siblings) plus edge inputs (empty,
 //!   single event, timestamp ties);
@@ -31,7 +31,8 @@
 //! A generator-driven propcheck runs random query mixes and event streams
 //! through the same matrix, and a lifecycle propcheck exercises the
 //! streaming session's `push`/`push_batch`/`flush` interleavings (batch
-//! sizes 0 and 1, tied timestamps included) against one-shot batching.
+//! sizes 0 and 1, tied timestamps included) against the per-event
+//! reference.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -81,18 +82,9 @@ struct ModeSpec {
     feed: Feed,
 }
 
-fn one_shot(n: usize) -> SessionConfig {
-    SessionConfig {
-        workers: Some(n),
-        one_shot: true,
-        streaming: None,
-    }
-}
-
 fn streaming(n: usize, batch_size: usize) -> SessionConfig {
     SessionConfig {
         workers: Some(n),
-        one_shot: false,
         streaming: Some(StreamingConfig {
             batch_size,
             queue_depth: 2,
@@ -115,23 +107,8 @@ fn modes() -> Vec<ModeSpec> {
             feed: Feed::Batch,
         },
         ModeSpec {
-            name: "one_shot/n1",
-            cfg: one_shot(1),
-            feed: Feed::Batch,
-        },
-        ModeSpec {
-            name: "one_shot/n2",
-            cfg: one_shot(2),
-            feed: Feed::Batch,
-        },
-        ModeSpec {
-            name: "one_shot/n4",
-            cfg: one_shot(4),
-            feed: Feed::Batch,
-        },
-        ModeSpec {
-            name: "one_shot/n7",
-            cfg: one_shot(7),
+            name: "streaming/n1/b8",
+            cfg: streaming(1, 8),
             feed: Feed::Batch,
         },
         ModeSpec {
@@ -150,10 +127,14 @@ fn modes() -> Vec<ModeSpec> {
             feed: Feed::SharedBatch,
         },
         ModeSpec {
+            name: "streaming_shared/n7/b8",
+            cfg: streaming(7, 8),
+            feed: Feed::SharedBatch,
+        },
+        ModeSpec {
             name: "streaming_chunked/n3",
             cfg: SessionConfig {
                 workers: Some(3),
-                one_shot: false,
                 streaming: None,
             },
             feed: Feed::ChunkedFlush(17),
@@ -581,8 +562,7 @@ fn workload_table() -> Vec<Workload> {
     let events = interleaved(&srcs, 240);
     table.push(("all_verdicts_mixed", engine, qids, events));
 
-    // Tied timestamps void the hybrid drain's exactness proof chunk-wise
-    // and exercise the per-event fallback under every parallel mode.
+    // Tied timestamps across sources, under every mode.
     let (engine, srcs, qids) = optimized(&[equi_seq(12), aggregate(vec![0], 7)]);
     let events = tied(&srcs, 200);
     table.push(("timestamp_ties", engine, qids, events));
@@ -601,6 +581,78 @@ fn workload_table() -> Vec<Workload> {
 fn conformance_matrix_all_workloads_all_modes() {
     for (name, engine, qids, events) in workload_table() {
         assert_conformance(name, &engine, &qids, &events);
+    }
+}
+
+/// Regression for the defect `benchmark/README.md` ("Seed defect")
+/// documents: a `T` event followed by an `S` arrival inside one batch. A
+/// batch-granular drain that delivered the batch's `S` arrivals first
+/// evicted the resident instance at 5764 against the horizon of the
+/// arrival at 6850 (6850 − 847 > 5764) before `T@6405` could match it.
+/// Every way of handing the three events to a session — all in one batch,
+/// or the `T`/`S` pair as a batch of its own behind the resident instance
+/// — must find the match, and (the old outcome depended on which dispatch
+/// mode a wall-clock probe picked) must find it on every one of 20
+/// repeats.
+#[test]
+fn pattern_match_survives_a_later_arrival_in_the_same_batch() {
+    let mut engine = Rumor::new(OptimizerConfig::default());
+    engine
+        .execute(
+            "CREATE STREAM s (a0 INT);
+             CREATE STREAM t (a0 INT);
+             QUERY q AS PATTERN s AS x WHERE x.a0 = 1 THEN t AS y WHERE y.a0 = 0 WITHIN 847;",
+        )
+        .unwrap();
+    engine.optimize().unwrap();
+    let s = engine.source_id("s").unwrap();
+    let t = engine.source_id("t").unwrap();
+    let events = vec![
+        (s, Tuple::ints(5764, &[1])),
+        (t, Tuple::ints(6405, &[0])),
+        (s, Tuple::ints(6850, &[1])),
+    ];
+    let local = SessionConfig::default();
+    let pool = SessionConfig {
+        workers: Some(2),
+        streaming: None,
+    };
+    let three_pushes = run_mode(&engine, &local, Feed::PerEvent, &events, &[]).leftovers;
+    assert_eq!(three_pushes.len(), 1, "{three_pushes:?}");
+    assert_eq!(three_pushes[0].1.ts, 6405);
+    let want = canonical(&three_pushes);
+    // The instance resident from an earlier call, then `T, S` as one batch.
+    let resident_then_pair = |cfg: &SessionConfig, shared: bool| {
+        let mut session = engine.session().config(cfg.clone()).build().unwrap();
+        session.push_batch(&events[..1]).unwrap();
+        if shared {
+            session
+                .push_batch_shared(Arc::new(events[1..].to_vec()))
+                .unwrap();
+        } else {
+            session.push_batch(&events[1..]).unwrap();
+        }
+        session.finish().unwrap();
+        session.collect_all()
+    };
+    for round in 0..20 {
+        for (cfg, feed) in [
+            (&local, Feed::Batch),
+            (&pool, Feed::PerEvent),
+            (&pool, Feed::Batch),
+            (&pool, Feed::SharedBatch),
+        ] {
+            let got = run_mode(&engine, cfg, feed, &events, &[]).leftovers;
+            assert_eq!(canonical(&got), want, "round {round}: {cfg:?} {feed:?}");
+        }
+        for (cfg, shared) in [(&local, false), (&pool, false), (&pool, true)] {
+            let got = resident_then_pair(cfg, shared);
+            assert_eq!(
+                canonical(&got),
+                want,
+                "round {round}: {cfg:?} shared={shared}, pair behind a resident instance"
+            );
+        }
     }
 }
 
@@ -717,28 +769,22 @@ fn pinned_split_reports_subgraph_verdict_and_conforms() {
         .leftovers,
     );
     for n in [1usize, 2, 4, 7] {
-        for cfg in [one_shot(n), streaming(n, 13)] {
-            let mut session = engine.session().config(cfg.clone()).build().unwrap();
-            {
-                let scheme = session.scheme().expect("parallel sessions expose a scheme");
-                let pinned: Vec<_> = scheme
-                    .components()
-                    .iter()
-                    .filter(|c| c.verdict == Verdict::Pinned)
-                    .collect();
-                assert_eq!(pinned.len(), 1);
-                assert_eq!(pinned[0].pin_scope, Some(PinScope::StatefulSubgraph));
-                assert_eq!(*scheme.route(srcs[0]), SourceRoute::PinnedSplit);
-                assert_eq!(*scheme.route(srcs[1]), SourceRoute::Pinned);
-            }
-            drive(&mut session, &events, Feed::Batch);
-            assert_eq!(session.events_in(), events.len() as u64);
-            assert_eq!(
-                canonical(&session.collect_all()),
-                reference,
-                "{cfg:?} n={n}"
-            );
+        let mut session = engine.session().config(streaming(n, 13)).build().unwrap();
+        {
+            let scheme = session.scheme().expect("parallel sessions expose a scheme");
+            let pinned: Vec<_> = scheme
+                .components()
+                .iter()
+                .filter(|c| c.verdict == Verdict::Pinned)
+                .collect();
+            assert_eq!(pinned.len(), 1);
+            assert_eq!(pinned[0].pin_scope, Some(PinScope::StatefulSubgraph));
+            assert_eq!(*scheme.route(srcs[0]), SourceRoute::PinnedSplit);
+            assert_eq!(*scheme.route(srcs[1]), SourceRoute::Pinned);
         }
+        drive(&mut session, &events, Feed::Batch);
+        assert_eq!(session.events_in(), events.len() as u64);
+        assert_eq!(canonical(&session.collect_all()), reference, "n={n}");
     }
 }
 
@@ -746,8 +792,7 @@ fn pinned_split_reports_subgraph_verdict_and_conforms() {
 /// cone with a stateless sibling on the same source must report
 /// [`SourceRoute::KeySplit`] (stateful leg hashed, stateless leg
 /// round-robin) and stay byte-identical to the per-event oracle at every
-/// worker count, on the one-shot, streaming, and zero-copy shared-batch
-/// paths alike.
+/// worker count, on the streaming and zero-copy shared-batch paths alike.
 #[test]
 fn keyed_split_reports_cone_route_and_conforms() {
     // The sequence consumes S *directly* (no shared prefilter select —
@@ -777,7 +822,6 @@ fn keyed_split_reports_cone_route_and_conforms() {
     );
     for n in [1usize, 2, 4, 7] {
         for (cfg, feed) in [
-            (one_shot(n), Feed::Batch),
             (streaming(n, 13), Feed::Batch),
             (streaming(n, 16), Feed::SharedBatch),
         ] {
@@ -813,7 +857,7 @@ fn mixed_plan_scheme_has_all_three_verdicts() {
         equi_seq(10),
         aggregate(Vec::new(), 10),
     ]);
-    let session = engine.session().workers(4).one_shot().build().unwrap();
+    let session = engine.session().workers(4).build().unwrap();
     let scheme = session.scheme().unwrap();
     assert_eq!(scheme.count(Verdict::Stateless), 1);
     assert_eq!(scheme.count(Verdict::Keyed), 1);
@@ -859,12 +903,25 @@ fn any_query() -> impl Strategy<Value = LogicalPlan> {
 }
 
 /// Raw events: source selector, advance-timestamp flag (false ⇒ tie), and
-/// attribute values.
+/// attribute values. Two families: arbitrary source order with ties, and
+/// a finely interleaved two-source feed — S and T strictly alternating on
+/// strictly increasing timestamps, the shape where a sequence's T event
+/// is followed by S arrivals inside the same batch (a batch-granular
+/// drain that ran the S arrivals first once evicted the instance the T
+/// event should have matched).
 fn events_strategy() -> impl Strategy<Value = Vec<(usize, bool, Vec<i64>)>> {
-    prop::collection::vec(
+    let arbitrary = prop::collection::vec(
         (0usize..4, any::<bool>(), prop::collection::vec(0i64..4, 3)),
         0..120,
-    )
+    );
+    let interleaved =
+        prop::collection::vec(prop::collection::vec(0i64..4, 3), 0..120).prop_map(|rows| {
+            rows.into_iter()
+                .enumerate()
+                .map(|(i, vals)| (i % 2, true, vals))
+                .collect()
+        });
+    prop_oneof![arbitrary, interleaved]
 }
 
 fn to_events(raw: &[(usize, bool, Vec<i64>)], srcs: &[SourceId]) -> Vec<(SourceId, Tuple)> {
@@ -895,17 +952,14 @@ proptest! {
         assert_conformance("random", &engine, &qids, &events);
     }
 
-    /// Per-key sub-batching oracle: purely keyed stateful workloads
-    /// (sequence, iterate, grouped aggregate) under random inputs heavy
-    /// with timestamp ties and interleaved keys. Pins (a) the strict
+    /// Keyed-state oracle: purely keyed stateful workloads (sequence,
+    /// iterate, grouped aggregate) under random inputs heavy with
+    /// timestamp ties and interleaved keys. Pins (a) the strict
     /// single-threaded contract — `push_batch` per-query result order
-    /// identical to per-event, which routes through
-    /// `process_batch_keyed` whenever a chunk's timestamps strictly
-    /// increase and through the per-event fallback when they tie — and
-    /// (b) the keyed zero-copy shared-batch delivery against the same
-    /// reference.
+    /// identical to per-event — and (b) the keyed zero-copy shared-batch
+    /// delivery against the same reference.
     #[test]
-    fn keyed_sub_batching_matches_per_event_under_ties(
+    fn keyed_batches_match_per_event_under_ties(
         raw in events_strategy(),
         window in 1u64..25,
     ) {
@@ -970,16 +1024,6 @@ fn churn_modes() -> Vec<ModeSpec> {
         ModeSpec {
             name: "push_batch",
             cfg: SessionConfig::default(),
-            feed: Feed::Batch,
-        },
-        ModeSpec {
-            name: "one_shot/n2",
-            cfg: one_shot(2),
-            feed: Feed::Batch,
-        },
-        ModeSpec {
-            name: "one_shot/n4",
-            cfg: one_shot(4),
             feed: Feed::Batch,
         },
         ModeSpec {
@@ -1372,7 +1416,7 @@ proptest! {
 
 // ----------------------------------------------------------------------
 // Streaming lifecycle: interleaved push / push_batch / flush sequences
-// must match one-shot batching, whatever the batch boundaries.
+// must match the per-event reference, whatever the batch boundaries.
 // ----------------------------------------------------------------------
 
 /// One step of a streaming session: feed `k` events by single `push`es,
@@ -1401,10 +1445,10 @@ proptest! {
 
     /// Streaming lifecycle oracle: any interleaving of push / push_batch
     /// (sizes 0 and 1 included) / flush, over inputs with timestamp ties,
-    /// equals the one-shot batch result — for stateless, keyed, and
-    /// pinned-split workloads alike.
+    /// equals the single-threaded per-event result — for stateless, keyed,
+    /// and pinned-split workloads alike.
     #[test]
-    fn streaming_lifecycle_matches_one_shot(
+    fn streaming_lifecycle_matches_per_event_reference(
         steps in steps_strategy(),
         raw in events_strategy(),
         batch_size in 1usize..8,
