@@ -16,9 +16,17 @@
 //! returns, every result of previously pushed events is locally
 //! drainable — the same delivery-point contract the embedded session
 //! documents.
+//!
+//! Each request leaves as a single `write`: length prefix and payload
+//! are encoded into one buffer first, so on the `TCP_NODELAY` socket a
+//! large `PUSH_BATCH` never sends its 4-byte prefix as a segment of its
+//! own. Replies are read through a 64 KiB buffer — the server writes the
+//! `RESULTS` frames of a whole delivery pass back to back. Both frame
+//! buffers are reused from message to message up to
+//! `frame::REUSE_CAP`.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use rumor_types::{QueryId, Result, RumorError, SourceId, Tuple};
@@ -26,10 +34,17 @@ use rumor_types::{QueryId, Result, RumorError, SourceId, Tuple};
 use crate::frame;
 use crate::proto::{Reply, Request, PROTOCOL_VERSION};
 
+/// Read-buffer size: room for the frames of a typical delivery pass.
+const READ_BUFFER: usize = 64 * 1024;
+
 /// Blocking connection to a [`crate::Server`].
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
+    /// The outgoing frame under construction, reused across requests.
+    out: Vec<u8>,
+    /// The incoming frame's payload, reused across replies.
+    payload: Vec<u8>,
     sources: Vec<(String, SourceId)>,
     queries: HashMap<String, QueryId>,
     results: HashMap<QueryId, Vec<Tuple>>,
@@ -42,11 +57,12 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream);
+        let reader = BufReader::with_capacity(READ_BUFFER, stream.try_clone()?);
         let mut client = Client {
             reader,
-            writer,
+            writer: stream,
+            out: Vec::new(),
+            payload: Vec::new(),
             sources: Vec::new(),
             queries: HashMap::new(),
             results: HashMap::new(),
@@ -223,10 +239,10 @@ impl Client {
             return Ok(());
         }
         loop {
-            let Some(payload) = frame::read_frame(&mut self.reader)? else {
+            if !frame::read_frame_into(&mut self.reader, &mut self.payload)? {
                 return Ok(()); // EOF without GOODBYE: abrupt but closed
-            };
-            match Reply::decode(&payload)? {
+            }
+            match Reply::decode(&self.payload)? {
                 Reply::Results { query, tuples } => {
                     self.results.entry(query).or_default().extend(tuples);
                 }
@@ -241,8 +257,12 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> Result<()> {
-        frame::write_frame(&mut self.writer, &req.encode())?;
-        self.writer.flush()?;
+        self.out.clear();
+        frame::append_frame(&mut self.out, |out| req.encode_into(out))?;
+        self.writer.write_all(&self.out)?;
+        if self.out.capacity() > frame::REUSE_CAP {
+            self.out = Vec::new(); // a big batch does not pin its buffer
+        }
         Ok(())
     }
 
@@ -253,9 +273,12 @@ impl Client {
     /// pending call then reports the shutdown).
     fn read_until(&mut self, want: impl Fn(&Reply) -> bool) -> Result<Reply> {
         loop {
-            let payload = frame::read_frame(&mut self.reader)?
-                .ok_or_else(|| RumorError::io("server closed the connection before replying"))?;
-            let reply = Reply::decode(&payload)?;
+            if !frame::read_frame_into(&mut self.reader, &mut self.payload)? {
+                return Err(RumorError::io(
+                    "server closed the connection before replying",
+                ));
+            }
+            let reply = Reply::decode(&self.payload)?;
             if want(&reply) {
                 return Ok(reply);
             }

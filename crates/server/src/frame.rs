@@ -27,18 +27,44 @@ use rumor_types::{Result, RumorError};
 /// cannot drive allocation.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// Frame buffers are reused from frame to frame only up to this size: one
+/// grown past it by a large frame is released rather than kept, so a
+/// connection does not pin [`MAX_FRAME`] for life.
+pub(crate) const REUSE_CAP: usize = 64 * 1024;
+
+fn check_outgoing(len: usize) -> Result<()> {
+    if len > MAX_FRAME {
+        return Err(RumorError::io(format!(
+            "outgoing frame of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
+        )));
+    }
+    Ok(())
+}
+
 /// Writes one length-prefixed frame. The caller is responsible for
 /// flushing any buffered writer.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(RumorError::io(format!(
-            "outgoing frame of {} bytes exceeds MAX_FRAME ({MAX_FRAME})",
-            payload.len()
-        )));
-    }
+    check_outgoing(payload.len())?;
     let len = payload.len() as u32;
     w.write_all(&len.to_be_bytes())?;
     w.write_all(payload)?;
+    Ok(())
+}
+
+/// Appends one frame to `out`, its payload written in place by `encode`:
+/// the 4-byte prefix is reserved first and back-patched afterwards, so
+/// frames accumulate back to back with no payload→frame copy. A payload
+/// over [`MAX_FRAME`] is rolled back out of `out` and reported.
+pub(crate) fn append_frame(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let len = out.len() - at - 4;
+    if let Err(e) = check_outgoing(len) {
+        out.truncate(at);
+        return Err(e);
+    }
+    out[at..at + 4].copy_from_slice(&(len as u32).to_be_bytes());
     Ok(())
 }
 
@@ -46,12 +72,20 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 /// boundary; mid-frame EOF, short prefixes, and oversized length
 /// prefixes all surface as [`RumorError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// [`read_frame`] into a caller-owned buffer, so a connection reading
+/// frame after frame reuses one allocation. `payload` holds exactly the
+/// frame's payload on `Ok(true)`; `Ok(false)` is the clean EOF.
+pub(crate) fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> Result<bool> {
     let mut prefix = [0u8; 4];
     // Read the first prefix byte separately so a close between frames is
     // distinguishable from a close inside one.
     loop {
         match r.read(&mut prefix[..1]) {
-            Ok(0) => return Ok(None),
+            Ok(0) => return Ok(false),
             Ok(_) => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
@@ -65,10 +99,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
             "oversized frame: length prefix claims {len} bytes (max {MAX_FRAME})"
         )));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
-        .map_err(|e| truncated("payload", e))?;
-    Ok(Some(payload))
+    payload.clear();
+    if payload.capacity() > REUSE_CAP && len <= REUSE_CAP {
+        *payload = Vec::new();
+    }
+    payload.resize(len, 0);
+    r.read_exact(payload).map_err(|e| truncated("payload", e))?;
+    Ok(true)
 }
 
 fn truncated(what: &str, e: std::io::Error) -> RumorError {
@@ -115,6 +152,33 @@ mod tests {
         buf.extend_from_slice(b"abc");
         let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
         assert!(err.to_string().contains("payload"), "{err}");
+    }
+
+    #[test]
+    fn appended_frames_equal_written_frames_and_the_read_buffer_is_reused() {
+        let mut written = Vec::new();
+        write_frame(&mut written, b"hello").unwrap();
+        write_frame(&mut written, b"").unwrap();
+        let mut appended = Vec::new();
+        append_frame(&mut appended, |out| out.extend_from_slice(b"hello")).unwrap();
+        append_frame(&mut appended, |_| {}).unwrap();
+        assert_eq!(appended, written);
+        // An oversized payload is rolled back, leaving earlier frames intact.
+        let err = append_frame(&mut appended, |out| {
+            out.resize(out.len() + MAX_FRAME + 1, 0)
+        });
+        assert!(err.is_err());
+        assert_eq!(appended, written);
+
+        let mut r = Cursor::new(appended);
+        let mut payload = Vec::with_capacity(64);
+        let held = payload.as_ptr();
+        assert!(read_frame_into(&mut r, &mut payload).unwrap());
+        assert_eq!(payload, b"hello");
+        assert!(read_frame_into(&mut r, &mut payload).unwrap());
+        assert!(payload.is_empty());
+        assert_eq!(payload.as_ptr(), held, "no reallocation between frames");
+        assert!(!read_frame_into(&mut r, &mut payload).unwrap(), "clean EOF");
     }
 
     #[test]

@@ -17,8 +17,17 @@
 //!   by a [`Session::update_plan`](rumor_engine::EventRuntime::update_plan)
 //!   epoch swap;
 //! * the [`Session`] itself, plus one [`Subscription`] per registered
-//!   query, drained after every command batch and fanned out to the
-//!   owning client's `Outbox` ([`crate::outbox`]).
+//!   query.
+//!
+//! Results leave in **delivery passes**: one scan over every client's
+//! subscriptions, in which all `RESULTS` frames a client earned are
+//! encoded in place into one `Bundle` ([`crate::outbox`]) and
+//! handed to its outbox as a single entry — one lock and one writer
+//! wake-up per client per pass, not per query. A pass runs at every
+//! `FLUSH` barrier (so `FLUSHED` is queued after the results it
+//! flushed) and once after a command batch that touched the session
+//! since the last pass; `DROP`, `BYE` and the shutdown drain deliver
+//! through the same bundle encoder.
 //!
 //! Queries are namespaced per connection (`__c<id>__<name>`), so two
 //! clients registering the *same* query text hold distinct `QueryId`s —
@@ -29,13 +38,10 @@ use std::collections::HashMap;
 
 use crossbeam_channel::Receiver;
 use rumor_engine::{EventRuntime, Rumor, Session, SessionConfig, Subscription};
-use rumor_types::{QueryId, Result, RumorError, SourceId, Tuple};
+use rumor_types::{QueryId, Result, RumorError, SourceId};
 
 use crate::outbox::Outbox;
 use crate::proto::{Reply, Request, PROTOCOL_VERSION};
-
-/// Max tuples per `RESULTS` frame; larger drains are chunked.
-const RESULTS_CHUNK: usize = 4096;
 
 /// One unit of work for the ingest thread.
 #[derive(Debug)]
@@ -63,11 +69,26 @@ struct ClientState {
     subs: Vec<(QueryId, Subscription)>,
 }
 
+impl ClientState {
+    /// This client's share of a delivery pass: every subscription's
+    /// pending results, bundled into one outbox entry.
+    fn deliver(&mut self) {
+        let mut bundle = self.outbox.bundle();
+        for (qid, sub) in &mut self.subs {
+            bundle.add(*qid, &sub.drain());
+        }
+        bundle.send();
+    }
+}
+
 pub(crate) struct Ingest {
     engine: Rumor,
     session: Session,
     clients: HashMap<u64, ClientState>,
     next_query_seq: u64,
+    /// A command ran since the last delivery pass, so subscriptions may
+    /// hold results no client has been sent yet.
+    undelivered: bool,
 }
 
 impl Ingest {
@@ -84,6 +105,7 @@ impl Ingest {
             session,
             clients: HashMap::new(),
             next_query_seq: 0,
+            undelivered: false,
         })
     }
 
@@ -97,9 +119,10 @@ impl Ingest {
             .collect()
     }
 
-    /// Main loop: drain the command queue in batches, deliver results
-    /// after each batch. Returns when `Shutdown` is processed or every
-    /// sender hangs up.
+    /// Main loop: drain the command queue in batches, then run one
+    /// delivery pass — unless the batch ended in a `FLUSH`, whose own
+    /// pass already covered it. Returns when `Shutdown` is processed or
+    /// every sender hangs up.
     pub(crate) fn run(mut self, rx: Receiver<Command>) {
         // The loop ends when every sender hangs up (server handle
         // dropped without shutdown) or a Shutdown command arrives.
@@ -112,9 +135,12 @@ impl Ingest {
                     shutting_down = true;
                     break;
                 }
+                self.undelivered = true;
                 self.handle(cmd);
             }
-            self.deliver();
+            if self.undelivered {
+                self.deliver();
+            }
             if shutting_down {
                 self.drain_and_close();
                 return;
@@ -139,12 +165,9 @@ impl Ingest {
             Command::Request { client, req } => self.handle_request(client, req),
             Command::Malformed { client, message } => {
                 if let Some(state) = self.clients.get(&client) {
-                    state.outbox.push_control(
-                        Reply::Error {
-                            message: RumorError::io(message).to_string(),
-                        }
-                        .encode(),
-                    );
+                    state.outbox.push_control(&Reply::Error {
+                        message: RumorError::io(message).to_string(),
+                    });
                 }
                 self.remove_client(client, false);
             }
@@ -158,26 +181,20 @@ impl Ingest {
             return; // already removed (e.g. writer died first)
         };
         if !state.greeted && !matches!(req, Request::Hello { .. }) {
-            state.outbox.push_control(
-                Reply::Error {
-                    message: RumorError::io("HELLO required before any other request").to_string(),
-                }
-                .encode(),
-            );
+            state.outbox.push_control(&Reply::Error {
+                message: RumorError::io("HELLO required before any other request").to_string(),
+            });
             return;
         }
         match req {
             Request::Hello { version } => {
                 if version != PROTOCOL_VERSION {
-                    state.outbox.push_control(
-                        Reply::Error {
-                            message: RumorError::io(format!(
-                                "protocol version mismatch: client {version}, server {PROTOCOL_VERSION}"
-                            ))
-                            .to_string(),
-                        }
-                        .encode(),
-                    );
+                    state.outbox.push_control(&Reply::Error {
+                        message: RumorError::io(format!(
+                            "protocol version mismatch: client {version}, server {PROTOCOL_VERSION}"
+                        ))
+                        .to_string(),
+                    });
                     self.remove_client(client, false);
                     return;
                 }
@@ -187,7 +204,7 @@ impl Ingest {
                 };
                 let state = self.clients.get_mut(&client).expect("checked above");
                 state.greeted = true;
-                state.outbox.push_control(welcome.encode());
+                state.outbox.push_control(&welcome);
             }
             Request::Register { name, body } => {
                 let reply = match self.register(client, &name, &body) {
@@ -197,7 +214,7 @@ impl Ingest {
                     },
                 };
                 if let Some(state) = self.clients.get(&client) {
-                    state.outbox.push_control(reply.encode());
+                    state.outbox.push_control(&reply);
                 }
             }
             Request::Drop { name } => {
@@ -208,7 +225,7 @@ impl Ingest {
                     },
                 };
                 if let Some(state) = self.clients.get(&client) {
-                    state.outbox.push_control(reply.encode());
+                    state.outbox.push_control(&reply);
                 }
             }
             Request::Push { source, tuple } => {
@@ -230,11 +247,9 @@ impl Ingest {
                 if let Some(state) = self.clients.get(&client) {
                     let shed = state.outbox.take_unreported_shed();
                     if shed > 0 {
-                        state
-                            .outbox
-                            .push_control(Reply::Shed { dropped: shed }.encode());
+                        state.outbox.push_control(&Reply::Shed { dropped: shed });
                     }
-                    state.outbox.push_control(Reply::Flushed.encode());
+                    state.outbox.push_control(&Reply::Flushed);
                 }
             }
             Request::Stats => {
@@ -245,7 +260,7 @@ impl Ingest {
                     },
                 };
                 if let Some(state) = self.clients.get(&client) {
-                    state.outbox.push_control(reply.encode());
+                    state.outbox.push_control(&reply);
                 }
             }
             Request::Explain => {
@@ -256,7 +271,7 @@ impl Ingest {
                     },
                 };
                 if let Some(state) = self.clients.get(&client) {
-                    state.outbox.push_control(reply.encode());
+                    state.outbox.push_control(&reply);
                 }
             }
             Request::Bye => self.remove_client(client, true),
@@ -265,12 +280,9 @@ impl Ingest {
 
     fn reply_error(&self, client: u64, e: RumorError) {
         if let Some(state) = self.clients.get(&client) {
-            state.outbox.push_control(
-                Reply::Error {
-                    message: e.to_string(),
-                }
-                .encode(),
-            );
+            state.outbox.push_control(&Reply::Error {
+                message: e.to_string(),
+            });
         }
     }
 
@@ -332,24 +344,21 @@ impl Ingest {
         // Deliver anything the query produced before it disappears.
         if let Some(idx) = state.subs.iter().position(|(q, _)| *q == qid) {
             let (_, mut sub) = state.subs.remove(idx);
-            let pending = sub.drain();
-            let outbox = state.outbox.clone();
-            push_results(&outbox, qid, pending);
+            let mut bundle = state.outbox.bundle();
+            bundle.add(qid, &sub.drain());
+            bundle.send();
         }
         self.engine.remove_query(qid)?;
         self.session.update_plan(self.engine.plan())
     }
 
-    /// Drains every subscription and fans results out to client outboxes.
+    /// One delivery pass: drains every subscription and hands each client
+    /// everything it earned as one outbox entry.
     fn deliver(&mut self) {
         for state in self.clients.values_mut() {
-            for (qid, sub) in &mut state.subs {
-                let tuples = sub.drain();
-                if !tuples.is_empty() {
-                    push_results(&state.outbox, *qid, tuples);
-                }
-            }
+            state.deliver();
         }
+        self.undelivered = false;
     }
 
     /// `{"server": {...}, "session": <snapshot JSON>}` — the envelope
@@ -357,12 +366,16 @@ impl Ingest {
     fn stats_json(&mut self) -> Result<String> {
         let snapshot = self.session.stats()?;
         let registered: usize = self.clients.values().map(|c| c.queries.len()).sum();
-        let shed: u64 = self.clients.values().map(|c| c.outbox.shed_total()).sum();
+        let (mut shed, mut frames, mut writes) = (0, 0, 0);
+        for c in self.clients.values().map(|c| c.outbox.counters()) {
+            shed += c.shed;
+            frames += c.result_frames;
+            writes += c.socket_writes;
+        }
         Ok(format!(
-            "{{\"server\": {{\"clients\": {}, \"registered_queries\": {}, \"shed_results\": {}}}, \"session\": {}}}",
+            "{{\"server\": {{\"clients\": {}, \"registered_queries\": {}, \"shed_results\": {shed}, \"result_frames\": {frames}, \"socket_writes\": {writes}}}, \"session\": {}}}",
             self.clients.len(),
             registered,
-            shed,
             snapshot.to_json()
         ))
     }
@@ -379,11 +392,8 @@ impl Ingest {
             // deliver this client's subscriptions one last time.
             let _ = self.session.flush();
         }
-        for (qid, sub) in &mut state.subs {
-            let pending = sub.drain();
-            if graceful {
-                push_results(&state.outbox, *qid, pending);
-            }
+        if graceful {
+            state.deliver();
         }
         state.subs.clear();
         let mut plan_dirty = false;
@@ -398,11 +408,9 @@ impl Ingest {
         if graceful {
             let shed = state.outbox.take_unreported_shed();
             if shed > 0 {
-                state
-                    .outbox
-                    .push_control(Reply::Shed { dropped: shed }.encode());
+                state.outbox.push_control(&Reply::Shed { dropped: shed });
             }
-            state.outbox.push_control(Reply::Goodbye.encode());
+            state.outbox.push_control(&Reply::Goodbye);
         }
         state.outbox.close();
     }
@@ -419,26 +427,12 @@ impl Ingest {
         for state in self.clients.values() {
             let shed = state.outbox.take_unreported_shed();
             if shed > 0 {
-                state
-                    .outbox
-                    .push_control(Reply::Shed { dropped: shed }.encode());
+                state.outbox.push_control(&Reply::Shed { dropped: shed });
             }
-            state.outbox.push_control(Reply::Goodbye.encode());
+            state.outbox.push_control(&Reply::Goodbye);
             state.outbox.close();
         }
         self.clients.clear();
-    }
-}
-
-fn push_results(outbox: &Outbox, qid: QueryId, tuples: Vec<Tuple>) {
-    for chunk in tuples.chunks(RESULTS_CHUNK) {
-        outbox.push_result(
-            Reply::Results {
-                query: qid,
-                tuples: chunk.to_vec(),
-            }
-            .encode(),
-        );
     }
 }
 

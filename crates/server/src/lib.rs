@@ -47,10 +47,12 @@
 //! threads** decode frames into commands and feed a *bounded* command
 //! queue; the blocking send is the admission-control point, mirroring
 //! the bounded staging queues of [`rumor_engine::StreamingConfig`]. A
-//! dispatcher step fans subscription results out into bounded
-//! per-client **outboxes** ([`outbox`]) drained by per-connection
-//! writer threads; a slow client sheds its *own* oldest results (and is
-//! told so via `SHED`), never stalling the engine or its neighbours.
+//! delivery pass fans subscription results out into bounded per-client
+//! **outboxes** ([`outbox`]) — all `RESULTS` frames a client earned in
+//! the pass as one entry — drained by per-connection writer threads
+//! with one socket write per wake-up; a slow client sheds its *own*
+//! oldest results (and is told so via `SHED`), never stalling the
+//! engine or its neighbours.
 //! Queries registered over the wire go through the live
 //! `Optimizer::integrate` path, so every tenant's queries land in the
 //! one shared plan — `EXPLAIN` from any client shows the m-ops their

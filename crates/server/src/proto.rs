@@ -198,6 +198,12 @@ impl Request {
     /// Serializes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the payload [`Request::encode`] returns to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Hello { version } => {
                 out.push(0x01);
@@ -205,24 +211,24 @@ impl Request {
             }
             Request::Register { name, body } => {
                 out.push(0x02);
-                put_str(&mut out, name);
-                put_str(&mut out, body);
+                put_str(out, name);
+                put_str(out, body);
             }
             Request::Drop { name } => {
                 out.push(0x03);
-                put_str(&mut out, name);
+                put_str(out, name);
             }
             Request::Push { source, tuple } => {
                 out.push(0x04);
                 out.extend_from_slice(&source.0.to_be_bytes());
-                put_tuple(&mut out, tuple);
+                put_tuple(out, tuple);
             }
             Request::PushBatch { events } => {
                 out.push(0x05);
                 out.extend_from_slice(&(events.len() as u32).to_be_bytes());
                 for (src, tuple) in events {
                     out.extend_from_slice(&src.0.to_be_bytes());
-                    put_tuple(&mut out, tuple);
+                    put_tuple(out, tuple);
                 }
             }
             Request::Flush => out.push(0x06),
@@ -230,7 +236,6 @@ impl Request {
             Request::Explain => out.push(0x08),
             Request::Bye => out.push(0x09),
         }
-        out
     }
 
     /// Parses a frame payload; strict (see module docs).
@@ -248,8 +253,8 @@ impl Request {
                 tuple: c.tuple()?,
             },
             0x05 => {
-                let n = c.u32()? as usize;
-                let mut events = Vec::new();
+                let (n, cap) = c.count(MIN_EVENT)?;
+                let mut events = Vec::with_capacity(cap);
                 for _ in 0..n {
                     let src = SourceId(c.u32()?);
                     let tuple = c.tuple()?;
@@ -268,49 +273,60 @@ impl Request {
     }
 }
 
+/// Appends a `RESULTS` payload encoded straight from a borrowed slice —
+/// the bytes `Reply::Results { query, tuples }.encode()` produces, without
+/// owning the tuples.
+pub(crate) fn put_results(out: &mut Vec<u8>, query: QueryId, tuples: &[Tuple]) {
+    out.push(0x84);
+    out.extend_from_slice(&query.0.to_be_bytes());
+    out.extend_from_slice(&(tuples.len() as u32).to_be_bytes());
+    for t in tuples {
+        put_tuple(out, t);
+    }
+}
+
 impl Reply {
     /// Serializes into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the payload [`Reply::encode`] returns to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Reply::Welcome { version, sources } => {
                 out.push(0x81);
                 out.extend_from_slice(&version.to_be_bytes());
                 out.extend_from_slice(&(sources.len() as u32).to_be_bytes());
                 for (name, id) in sources {
-                    put_str(&mut out, name);
+                    put_str(out, name);
                     out.extend_from_slice(&id.0.to_be_bytes());
                 }
             }
             Reply::Registered { name, query } => {
                 out.push(0x82);
-                put_str(&mut out, name);
+                put_str(out, name);
                 out.extend_from_slice(&query.0.to_be_bytes());
             }
             Reply::Dropped { name } => {
                 out.push(0x83);
-                put_str(&mut out, name);
+                put_str(out, name);
             }
-            Reply::Results { query, tuples } => {
-                out.push(0x84);
-                out.extend_from_slice(&query.0.to_be_bytes());
-                out.extend_from_slice(&(tuples.len() as u32).to_be_bytes());
-                for t in tuples {
-                    put_tuple(&mut out, t);
-                }
-            }
+            Reply::Results { query, tuples } => put_results(out, *query, tuples),
             Reply::Flushed => out.push(0x85),
             Reply::StatsJson { json } => {
                 out.push(0x86);
-                put_str(&mut out, json);
+                put_str(out, json);
             }
             Reply::ExplainText { text } => {
                 out.push(0x87);
-                put_str(&mut out, text);
+                put_str(out, text);
             }
             Reply::Error { message } => {
                 out.push(0x88);
-                put_str(&mut out, message);
+                put_str(out, message);
             }
             Reply::Shed { dropped } => {
                 out.push(0x89);
@@ -318,7 +334,6 @@ impl Reply {
             }
             Reply::Goodbye => out.push(0x8A),
         }
-        out
     }
 
     /// Parses a frame payload; strict (see module docs).
@@ -343,8 +358,8 @@ impl Reply {
             0x83 => Reply::Dropped { name: c.str()? },
             0x84 => {
                 let query = QueryId(c.u32()?);
-                let n = c.u32()? as usize;
-                let mut tuples = Vec::new();
+                let (n, cap) = c.count(MIN_TUPLE)?;
+                let mut tuples = Vec::with_capacity(cap);
                 for _ in 0..n {
                     tuples.push(c.tuple()?);
                 }
@@ -364,6 +379,13 @@ impl Reply {
 }
 
 // --- decoding cursor ------------------------------------------------------
+
+/// Smallest encodings of the counted elements, in bytes: a value is at
+/// least its tag, a tuple its timestamp + arity, an event a source id +
+/// tuple.
+const MIN_VALUE: usize = 1;
+const MIN_TUPLE: usize = 12;
+const MIN_EVENT: usize = 4 + MIN_TUPLE;
 
 struct Cursor<'a> {
     buf: &'a [u8],
@@ -408,6 +430,16 @@ impl<'a> Cursor<'a> {
         Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// Reads a `u32` element count and the capacity to allocate for it:
+    /// the declared count clamped by how many `min_item`-byte elements
+    /// the rest of the payload could hold. Well-formed input allocates
+    /// once at exact size; a hostile `0xFFFF_FFFF` reserves nothing and
+    /// fails as truncated on the first missing element.
+    fn count(&mut self, min_item: usize) -> Result<(usize, usize)> {
+        let n = self.u32()? as usize;
+        Ok((n, n.min((self.buf.len() - self.pos) / min_item)))
+    }
+
     fn str(&mut self) -> Result<String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -428,8 +460,8 @@ impl<'a> Cursor<'a> {
 
     fn tuple(&mut self) -> Result<Tuple> {
         let ts = self.u64()?;
-        let arity = self.u32()? as usize;
-        let mut values = Vec::new();
+        let (arity, cap) = self.count(MIN_VALUE)?;
+        let mut values = Vec::with_capacity(cap);
         for _ in 0..arity {
             values.push(self.value()?);
         }
@@ -525,6 +557,37 @@ mod tests {
         });
         roundtrip_reply(Reply::Shed { dropped: 9 });
         roundtrip_reply(Reply::Goodbye);
+    }
+
+    /// Hostile counts over a short payload: the pre-allocation is clamped
+    /// by the bytes left, so each of these fails as truncated at once
+    /// instead of reserving gigabytes first.
+    #[test]
+    fn hostile_counts_fail_as_truncated_without_reserving() {
+        let truncated = |r: Result<()>| match r {
+            Err(RumorError::Io(m)) => assert!(m.contains("truncated message"), "{m}"),
+            other => panic!("expected a truncated-message Io error, got {other:?}"),
+        };
+        let mut push_batch = vec![0x05];
+        push_batch.extend_from_slice(&u32::MAX.to_be_bytes());
+        push_batch.extend_from_slice(&[0; 7]);
+        truncated(Request::decode(&push_batch).map(drop));
+
+        let mut results = vec![0x84];
+        results.extend_from_slice(&3u32.to_be_bytes()); // query id
+        results.extend_from_slice(&u32::MAX.to_be_bytes());
+        results.extend_from_slice(&[0; 11]);
+        truncated(Reply::decode(&results).map(drop));
+
+        let mut wide = vec![0x04];
+        wide.extend_from_slice(&0u32.to_be_bytes()); // source
+        wide.extend_from_slice(&0u64.to_be_bytes()); // ts
+        wide.extend_from_slice(&u32::MAX.to_be_bytes()); // arity
+        wide.extend_from_slice(&[0, 0, 0]); // three nulls, then nothing
+        truncated(Request::decode(&wide).map(drop));
+
+        let mut c = Cursor::new(&push_batch[1..]);
+        assert_eq!(c.count(MIN_EVENT).unwrap(), (u32::MAX as usize, 0));
     }
 
     #[test]

@@ -5,17 +5,21 @@
 //!
 //! ```text
 //!  accept thread ──spawns──▶ N reader threads ──Command──▶ bounded queue
-//!                            N writer threads ◀─frames── per-client Outbox
+//!                            N writer threads ◀─bundles── per-client Outbox
 //!                                                              ▲
 //!                     1 ingest thread (owns Rumor + Session) ──┘
 //! ```
 //!
-//! Readers *only* decode and enqueue; writers *only* dequeue and send.
-//! All engine work happens on the single ingest thread, so the shared
-//! plan needs no locking at all.
+//! Readers *only* decode and enqueue, through one reused frame buffer
+//! per connection; writers *only* dequeue and send — each wake-up takes
+//! everything its outbox holds (the `RESULTS` frames of whole delivery
+//! passes plus any control frames, see [`crate::outbox`]) and puts it
+//! on the socket with one write. All engine work happens on the single
+//! ingest thread, so the shared plan needs no locking at all.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -155,12 +159,13 @@ impl Server {
             h.join()
                 .map_err(|_| RumorError::io("accept thread panicked"))?;
         }
+        self.lifecycle.quiesce_readers();
         let _ = self.cmd_tx.send(Command::Shutdown);
         if let Some(h) = self.ingest.take() {
             h.join()
                 .map_err(|_| RumorError::io("ingest thread panicked"))?;
         }
-        self.lifecycle.join_workers();
+        self.lifecycle.join_writers();
         Ok(())
     }
 }
@@ -196,10 +201,7 @@ fn accept_loop(
         next_client += 1;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(cfg.write_timeout);
-        let write_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
+        let stream = Arc::new(stream);
         let outbox = Outbox::new(cfg.outbox_capacity);
         if tx
             .send(Command::Connect {
@@ -210,30 +212,38 @@ fn accept_loop(
         {
             return; // ingest gone; nothing left to serve
         }
-        let writer_tx = tx.clone();
+        let (writer_stream, writer_tx) = (stream.clone(), tx.clone());
         if let Ok(h) = thread::Builder::new()
             .name(format!("rumor-writer-{client}"))
-            .spawn(move || writer_loop(client, write_half, outbox, writer_tx))
+            .spawn(move || writer_loop(client, &writer_stream, outbox, writer_tx))
         {
-            lifecycle.adopt(h);
+            lifecycle.adopt_writer(h);
         }
-        let reader_tx = tx.clone();
+        let (reader_stream, reader_tx, reader_lc) = (stream.clone(), tx.clone(), lifecycle.clone());
+        let mut readers = lifecycle.readers();
         if let Ok(h) = thread::Builder::new()
             .name(format!("rumor-reader-{client}"))
-            .spawn(move || reader_loop(client, stream, reader_tx))
+            .spawn(move || {
+                reader_loop(client, &reader_stream, reader_tx, &reader_lc);
+                reader_lc.readers().remove(&client);
+            })
         {
-            lifecycle.adopt(h);
+            readers.insert(client, (stream, h));
         }
     }
 }
 
 /// Decodes frames into commands. The blocking `send` on the bounded
 /// command queue is where a too-fast client stalls (admission control).
-fn reader_loop(client: u64, stream: TcpStream, tx: Sender<Command>) {
+/// During the shutdown drain the socket's read half is shut down under
+/// the reader: it enqueues what had already arrived, then exits without
+/// reporting a disconnect ([`crate::drain`], step 2).
+fn reader_loop(client: u64, stream: &TcpStream, tx: Sender<Command>, lifecycle: &Lifecycle) {
     let mut reader = BufReader::new(stream);
+    let mut payload = Vec::new();
     loop {
-        match frame::read_frame(&mut reader) {
-            Ok(Some(payload)) => match Request::decode(&payload) {
+        match frame::read_frame_into(&mut reader, &mut payload) {
+            Ok(true) => match Request::decode(&payload) {
                 Ok(req) => {
                     let bye = matches!(req, Request::Bye);
                     if tx.send(Command::Request { client, req }).is_err() {
@@ -253,7 +263,9 @@ fn reader_loop(client: u64, stream: TcpStream, tx: Sender<Command>) {
                     return;
                 }
             },
-            Ok(None) => {
+            // The drain ended this reader's input, not the client.
+            _ if lifecycle.stopping() => return,
+            Ok(false) => {
                 let _ = tx.send(Command::Disconnect { client });
                 return;
             }
@@ -273,19 +285,77 @@ fn reader_loop(client: u64, stream: TcpStream, tx: Sender<Command>) {
 /// Drains one client's outbox to its socket. Exits when the outbox is
 /// closed and empty (normal teardown) or on a write failure (dead or
 /// timed-out peer).
-fn writer_loop(client: u64, stream: TcpStream, outbox: Outbox, tx: Sender<Command>) {
-    let mut w = BufWriter::new(stream);
-    while let Some(frame_bytes) = outbox.pop_blocking() {
-        let wrote = frame::write_frame(&mut w, &frame_bytes)
-            .and_then(|()| w.flush().map_err(RumorError::from));
-        if wrote.is_err() {
-            outbox.close();
-            // Discard whatever is still queued so the close is prompt.
-            while outbox.pop_blocking().is_some() {}
-            let _ = tx.send(Command::Disconnect { client });
-            break;
+fn writer_loop(client: u64, mut stream: &TcpStream, outbox: Outbox, tx: Sender<Command>) {
+    if pump(&mut stream, &outbox).is_err() {
+        outbox.close();
+        let _ = tx.send(Command::Disconnect { client });
+    }
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Everything the outbox holds at each wake-up goes out as one write.
+fn pump(w: &mut impl Write, outbox: &Outbox) -> io::Result<()> {
+    let mut buf = Vec::new();
+    while outbox.take_all(&mut buf) {
+        w.write_all(&buf)?;
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::Reply;
+    use rumor_types::{QueryId, Tuple};
+
+    /// Counts `write` calls; accepts everything offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
         }
     }
-    let _ = w.flush();
-    let _ = w.get_ref().shutdown(Shutdown::Both);
+
+    /// N result entries and a `FLUSHED` queued before the writer wakes
+    /// reach the socket as one write whose bytes are exactly the N+1
+    /// frames `write_frame` would have produced one by one.
+    #[test]
+    fn writer_coalesces_everything_queued_into_one_write() {
+        let outbox = Outbox::new(1024);
+        let mut want = Vec::new();
+        for pass in 0..5u32 {
+            let mut bundle = outbox.bundle();
+            for q in 0..3u32 {
+                let tuples = vec![Tuple::ints(u64::from(pass), &[i64::from(q)])];
+                bundle.add(QueryId(q), &tuples);
+                let reply = Reply::Results {
+                    query: QueryId(q),
+                    tuples,
+                };
+                frame::write_frame(&mut want, &reply.encode()).unwrap();
+            }
+            bundle.send();
+        }
+        outbox.push_control(&Reply::Flushed);
+        frame::write_frame(&mut want, &Reply::Flushed.encode()).unwrap();
+        outbox.close();
+
+        let mut w = CountingWriter::default();
+        pump(&mut w, &outbox).unwrap();
+        assert_eq!(w.writes, 1, "5 result entries + FLUSHED in one write");
+        assert_eq!(w.bytes, want);
+        let c = outbox.counters();
+        assert_eq!((c.result_frames, c.socket_writes), (15, 1));
+    }
 }

@@ -193,3 +193,144 @@ fn bad_engine_input_reports_without_dropping_connection() {
     assert_eq!(client.drain("ok"), vec![Tuple::ints(0, &[2, 5])]);
     client.bye().unwrap();
 }
+
+/// Element counts of `u32::MAX` over a few bytes of payload: the decoder
+/// clamps its pre-allocation by the bytes actually present, so the frame
+/// is answered as truncated at once and the server keeps serving.
+#[test]
+fn hostile_element_counts_are_rejected_without_reserving() {
+    let server = spawn_server();
+    let mut push_batch = vec![0x05];
+    push_batch.extend_from_slice(&u32::MAX.to_be_bytes());
+    push_batch.extend_from_slice(&[0; 7]);
+    let mut wide_tuple = vec![0x04];
+    wide_tuple.extend_from_slice(&0u32.to_be_bytes()); // source
+    wide_tuple.extend_from_slice(&0u64.to_be_bytes()); // ts
+    wide_tuple.extend_from_slice(&u32::MAX.to_be_bytes()); // arity
+    wide_tuple.extend_from_slice(&[0, 0, 0]);
+    for payload in [push_batch, wide_tuple] {
+        let mut stream = raw_connect(&server);
+        write_frame(&mut stream, &payload).unwrap();
+        let replies = read_replies_until_eof(&mut stream);
+        assert!(
+            replies.iter().any(
+                |r| matches!(r, Reply::Error { message } if message.contains("truncated message"))
+            ),
+            "expected a truncated-message ERROR, got {replies:?}"
+        );
+    }
+    assert_still_serving(&server);
+}
+
+fn send(stream: &mut TcpStream, req: &Request) {
+    write_frame(stream, &req.encode()).unwrap();
+}
+
+fn next_reply(stream: &mut TcpStream) -> Reply {
+    let payload = read_frame(stream).expect("readable").expect("a frame");
+    Reply::decode(&payload).expect("decodable reply")
+}
+
+fn scan_u64(doc: &str, key: &str) -> u64 {
+    let rest = &doc[doc.find(key).unwrap_or_else(|| panic!("{key} in {doc}")) + key.len()..];
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().expect("a number")
+}
+
+/// Shedding end to end. A connection that registers eight match-all
+/// queries and then stops reading falls behind until its writer blocks
+/// and its four-frame outbox overflows; a well-behaved neighbour feeding
+/// the events is unaffected. The stalled client is told exactly how many
+/// `RESULTS` frames it lost — `SHED` and `STATS` count frames, and
+/// frames shed + frames received = frames produced — and its control
+/// replies keep their order throughout.
+#[test]
+fn stalled_client_sheds_whole_frames_and_neighbours_are_unaffected() {
+    const QUERIES: u64 = 8;
+    const BATCHES: u64 = 1500;
+    let mut engine = Rumor::new(OptimizerConfig::default());
+    engine.execute("CREATE STREAM s (a INT, b INT);").unwrap();
+    let config = ServerConfig {
+        outbox_capacity: 4,
+        ..ServerConfig::default()
+    };
+    let server = Server::spawn(engine, config).expect("spawn server");
+
+    let mut stalled = raw_connect(&server);
+    send(
+        &mut stalled,
+        &Request::Hello {
+            version: PROTOCOL_VERSION,
+        },
+    );
+    assert!(matches!(next_reply(&mut stalled), Reply::Welcome { .. }));
+    for q in 0..QUERIES {
+        send(
+            &mut stalled,
+            &Request::Register {
+                name: format!("all{q}"),
+                body: "SELECT * FROM s WHERE a > -1".into(),
+            },
+        );
+        assert!(matches!(next_reply(&mut stalled), Reply::Registered { .. }));
+    }
+    // From here on `stalled` does not read until the feed is over.
+
+    let mut healthy = Client::connect(server.addr()).expect("connect");
+    healthy
+        .register("mine", "SELECT * FROM s WHERE a = 1")
+        .expect("register");
+    let src = healthy.source("s").unwrap();
+    // 4 KiB of ballast per event: 8 queries x 1500 batches x 4 KiB is
+    // ~48 MiB for the stalled connection, far past what loopback socket
+    // buffers absorb, so its writer must block.
+    let ballast = rumor_types::Value::Str("x".repeat(4096).into());
+    let mut oracle = Vec::new();
+    for t in 0..BATCHES {
+        let a = (t % 2) as i64;
+        let tuple = Tuple::new(t, vec![rumor_types::Value::Int(a), ballast.clone()]);
+        if a == 1 {
+            oracle.push(tuple.clone());
+        }
+        healthy.push_batch(vec![(src, tuple)]).expect("push_batch");
+        healthy.flush().expect("flush");
+    }
+    assert_eq!(healthy.drain("mine"), oracle, "healthy client diverged");
+    assert_eq!(healthy.shed(), 0, "healthy client must not shed");
+
+    // Each batch was one delivery pass yielding one frame per query.
+    let produced = QUERIES * BATCHES;
+    send(&mut stalled, &Request::Stats);
+    send(&mut stalled, &Request::Flush);
+    let (mut received, mut shed, mut stats) = (0u64, 0u64, None);
+    loop {
+        match next_reply(&mut stalled) {
+            Reply::Results { tuples, .. } => {
+                assert_eq!(tuples.len(), 1, "one result per query per pass");
+                received += 1;
+            }
+            Reply::StatsJson { json } => {
+                assert_eq!(shed, 0, "STATS_JSON must precede the flush's SHED");
+                stats = Some(json);
+            }
+            Reply::Shed { dropped } => {
+                assert!(stats.is_some(), "SHED must follow STATS_JSON");
+                shed += dropped;
+            }
+            Reply::Flushed => break,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    let stats = stats.expect("STATS_JSON before FLUSHED");
+    assert!(shed > 0, "the stalled client never overflowed its outbox");
+    assert_eq!(
+        shed % QUERIES,
+        0,
+        "whole passes are shed, not single frames"
+    );
+    assert_eq!(received + shed, produced, "shed must count frames");
+    assert_eq!(scan_u64(&stats, "\"shed_results\": "), shed);
+
+    healthy.bye().expect("bye");
+    server.shutdown().expect("shutdown");
+}

@@ -1786,3 +1786,110 @@ fn server_loopback_graceful_drain_is_lossless() {
     );
     assert_eq!(client.shed(), 0, "drain must not shed");
 }
+
+/// Reads an integer field of the hand-rolled `STATS` JSON.
+fn stats_u64(doc: &str, key: &str) -> u64 {
+    let rest = &doc[doc.find(key).unwrap_or_else(|| panic!("{key} in {doc}")) + key.len()..];
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+/// Many queries on one connection at ≈ 1 result per event — the shape
+/// where the server writes the `RESULTS` frames of a whole delivery pass
+/// back to back. Coalescing must be invisible: at every flush barrier
+/// each query's drained results equal, in order, what an embedded
+/// session with the same 256 queries holds after the same feed — for
+/// `push`, for `push_batch`, and across a `DROP` issued between two
+/// flushes — and nothing of a barrier arrives after its `FLUSHED`. And
+/// it must be real: the `STATS` envelope shows the burst's frames
+/// leaving in a handful of socket writes.
+#[test]
+fn server_loopback_many_queries_per_connection_coalesce_invisibly() {
+    const QUERIES: usize = 256;
+    let body = |k: usize| format!("SELECT * FROM ls WHERE a = {k}");
+    let name = |k: usize| format!("q{k}");
+
+    let server = loopback_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut embedded = Rumor::new(OptimizerConfig::default());
+    embedded.execute(LOOPBACK_STREAMS).unwrap();
+    let mut qids = Vec::new();
+    for k in 0..QUERIES {
+        client.register(&name(k), &body(k)).unwrap();
+        let registered = embedded
+            .execute(&format!("QUERY {} AS {};", name(k), body(k)))
+            .unwrap();
+        qids.push(registered[0]);
+    }
+    embedded.optimize().unwrap();
+    let mut session = embedded.session().build().unwrap();
+    let mut subs: Vec<Option<Subscription>> =
+        qids.iter().map(|q| Some(session.subscribe(*q))).collect();
+
+    let src = client.source("ls").unwrap();
+    assert_eq!(embedded.source_id("ls").unwrap(), src);
+    let events: Vec<(SourceId, Tuple)> = (0..1536u64)
+        .map(|i| {
+            let t = Tuple::ints(i, &[(i * 7 % QUERIES as u64) as i64, i as i64, 0]);
+            (src, t)
+        })
+        .collect();
+    // Every query's wire results since the last barrier against its
+    // embedded subscription's, order included.
+    let barrier = |client: &mut Client,
+                   session: &mut rumor::Session,
+                   subs: &mut [Option<Subscription>],
+                   label: &str| {
+        client.flush().unwrap();
+        session.flush().unwrap();
+        let mut total = 0;
+        for (k, sub) in subs.iter_mut().enumerate() {
+            let want = sub.as_mut().map(Subscription::drain).unwrap_or_default();
+            total += want.len();
+            assert_eq!(client.drain(&name(k)), want, "{label}: query q{k} diverged");
+        }
+        total
+    };
+
+    for (s, t) in &events[..512] {
+        client.push(*s, t.clone()).unwrap();
+        session.push(*s, t.clone()).unwrap();
+    }
+    assert_eq!(barrier(&mut client, &mut session, &mut subs, "push"), 512);
+
+    let before = client.stats_json().unwrap();
+    client.push_batch(events[512..1024].to_vec()).unwrap();
+    session.push_batch(&events[512..1024]).unwrap();
+    let total = barrier(&mut client, &mut session, &mut subs, "push_batch");
+    assert_eq!(total, 512);
+    let after = client.stats_json().unwrap();
+    let delta = |key| stats_u64(&after, key) - stats_u64(&before, key);
+    let (frames, writes) = (delta("\"result_frames\": "), delta("\"socket_writes\": "));
+    assert_eq!(frames, QUERIES as u64, "one frame per query for the burst");
+    // The bundle, FLUSHED (alone or in the same write) and STATS_JSON.
+    assert!(
+        writes <= 3 && frames / writes > 1,
+        "{frames} result frames left in {writes} socket writes"
+    );
+
+    // DROP between two flushes: q7 keeps what it earned before the drop.
+    client.push_batch(events[1024..1280].to_vec()).unwrap();
+    session.push_batch(&events[1024..1280]).unwrap();
+    client.drop_query(&name(7)).unwrap();
+    let earned = subs[7].take().unwrap().drain();
+    assert_eq!(earned.len(), 1);
+    embedded.remove_query(qids[7]).unwrap();
+    session.update_plan(embedded.plan()).unwrap();
+    client.push_batch(events[1280..].to_vec()).unwrap();
+    session.push_batch(&events[1280..]).unwrap();
+    assert_eq!(
+        client.drain(&name(7)),
+        earned,
+        "dropped query's last results"
+    );
+    let total = barrier(&mut client, &mut session, &mut subs, "drop");
+    assert_eq!(total, 512 - 2, "q7 stopped producing at the drop");
+
+    client.bye().unwrap();
+    server.shutdown().unwrap();
+}
