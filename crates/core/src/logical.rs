@@ -67,16 +67,20 @@ pub struct AggSpec {
     /// Group-by attribute positions on the input stream.
     pub group_by: Vec<usize>,
     /// Time-based sliding window length (`RANGE`). A tuple with timestamp
-    /// `t` aggregates input tuples with timestamps in `(t - window, t]`.
+    /// `t` aggregates the input tuples of its group seen so far with
+    /// timestamps in `[t - window, t]` (both ends inclusive). `window = 0`
+    /// is the exception: it aggregates the current tuple alone, even when a
+    /// predecessor carries the same timestamp.
     pub window: u64,
 }
 
 impl AggSpec {
-    /// The definition "modulo group-by": rule sα shares aggregation
-    /// operators with the same function/input/window but *different*
-    /// group-by specifications \[22\].
-    pub fn shared_key(&self) -> (AggFunc, &Expr, u64) {
-        (self.func, &self.input, self.window)
+    /// The definition "modulo group-by and window": rule sα shares
+    /// aggregation operators with the same function and input expression
+    /// but *different* group-by specifications and windows — one window
+    /// buffer at the widest window, per-member eviction \[22\].
+    pub fn shared_key(&self) -> (AggFunc, &Expr) {
+        (self.func, &self.input)
     }
 
     /// Output schema: the group-by attributes followed by the aggregate
@@ -477,7 +481,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_key_ignores_group_by() {
+    fn shared_key_ignores_group_by_and_window() {
         let a = AggSpec {
             func: AggFunc::Sum,
             input: Expr::col(1),
@@ -486,10 +490,16 @@ mod tests {
         };
         let b = AggSpec {
             group_by: vec![0, 2],
+            window: 20,
             ..a.clone()
         };
         assert_eq!(a.shared_key(), b.shared_key());
         assert_ne!(a, b);
+        let c = AggSpec {
+            input: Expr::col(2),
+            ..a.clone()
+        };
+        assert_ne!(a.shared_key(), c.shared_key());
     }
 
     #[test]

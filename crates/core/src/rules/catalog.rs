@@ -6,7 +6,7 @@
 //! |-----------|-------------------------------------------------------------|-------------|
 //! | `s_sigma` | selections reading the same stream                          | predicate indexing \[10,16\] |
 //! | `s_pi`    | projections reading the same stream                         | shared projection |
-//! | `s_alpha` | aggregations, same stream, same function (≠ group-bys)      | shared aggregate evaluation \[22\] |
+//! | `s_alpha` | aggregations, same stream/func/input (≠ group-by, window)   | shared aggregate evaluation \[22\] |
 //! | `s_join`  | joins, same streams, same predicate (≠ windows)             | shared join evaluation \[12\] |
 //! | `s_seq`   | `;` ops, same streams, same predicate                       | CSE / shared sequence (§4.3) |
 //! | `s_mu`    | `µ` ops, same streams, same definition                      | CSE / shared iteration (§4.3) |
@@ -134,9 +134,10 @@ pub fn standard_rules(config: &OptimizerConfig) -> Vec<Box<dyn MRule>> {
 enum GroupKey {
     /// sσ / sπ: same input stream (operator type fixed by the rule).
     SameStream(StreamId),
-    /// sα: same stream + shared aggregate definition (function, input
-    /// expression, window) — group-bys free \[22\].
-    SameStreamAgg(StreamId, AggFunc, Expr, u64),
+    /// sα: same stream + same function and input expression — group-bys
+    /// and windows free: one window buffer at the widest window with a
+    /// per-member eviction cursor serves every `RANGE` \[22\].
+    SameStreamAgg(StreamId, AggFunc, Expr),
     /// s⋈ / s;: same stream pair + same predicate — windows free \[12\].
     SamePairPred(StreamId, StreamId, Predicate),
     /// sµ: same stream pair + same (filter, rebind, rebind map) — windows free.
@@ -357,7 +358,7 @@ fn classify_s_pi(_: &PlanGraph, _: &Sharability, node: &MopNode) -> Option<Group
 
 fn classify_s_alpha(_: &PlanGraph, _: &Sharability, node: &MopNode) -> Option<GroupKey> {
     let stream = uniform_port_stream(node, 0)?;
-    let mut shared: Option<(AggFunc, &Expr, u64)> = None;
+    let mut shared: Option<(AggFunc, &Expr)> = None;
     for m in &node.members {
         let OpDef::Aggregate(spec) = &m.def else {
             return None;
@@ -369,8 +370,8 @@ fn classify_s_alpha(_: &PlanGraph, _: &Sharability, node: &MopNode) -> Option<Gr
             Some(_) => return None,
         }
     }
-    let (func, input, window) = shared?;
-    Some(GroupKey::SameStreamAgg(stream, func, input.clone(), window))
+    let (func, input) = shared?;
+    Some(GroupKey::SameStreamAgg(stream, func, input.clone()))
 }
 
 fn classify_s_join(_: &PlanGraph, _: &Sharability, node: &MopNode) -> Option<GroupKey> {
@@ -739,6 +740,34 @@ mod tests {
             .find(|n| n.kind == MopKind::SharedAggregate)
             .unwrap();
         assert_eq!(shared.members.len(), 2);
+        p.validate().unwrap();
+    }
+
+    #[test]
+    fn s_alpha_shares_across_windows() {
+        let mut p = setup_st();
+        let agg = |input, window| {
+            LogicalPlan::source("S").aggregate(AggSpec {
+                func: AggFunc::Sum,
+                input: Expr::col(input),
+                group_by: vec![0],
+                window,
+            })
+        };
+        for w in [5, 10, 20] {
+            p.add_query(&agg(1, w)).unwrap();
+        }
+        p.add_query(&agg(2, 10)).unwrap();
+        let opt = Optimizer::new(OptimizerConfig::default());
+        let trace = opt.optimize(&mut p).unwrap();
+        assert_eq!(trace.count("s_alpha"), 1);
+        // The three RANGEs share one m-op; a different input stays alone.
+        assert_eq!(p.mop_count(), 2);
+        let shared = p
+            .mops()
+            .find(|n| n.kind == MopKind::SharedAggregate)
+            .unwrap();
+        assert_eq!(shared.members.len(), 3);
         p.validate().unwrap();
     }
 

@@ -12,17 +12,29 @@
 //! * a selection's output signature equals its input's signature
 //!   (selection transparency);
 //! * any other member output's signature is the interned pair of its
-//!   operator definition and its inputs' signatures.
+//!   operator definition and its inputs' signatures — where an
+//!   aggregate's definition is taken *without its window*.
 //!
 //! Two streams are sharable iff their signatures are interned to the same
 //! id — which makes `~` "very efficient to compute and store" exactly as
 //! the paper requires, and an equivalence relation by construction.
+//!
+//! **Why aggregate windows are normalized.** Rule sα keeps aggregates that
+//! differ only in `RANGE` in one m-op (one window buffer, per-member
+//! eviction), and that m-op emits one channel tuple for every member whose
+//! row is equal. Its outputs are therefore the same stream "modulo the
+//! window" in exactly the sense the channel rules need: identical
+//! downstream operators over them (the rename projection every aliased
+//! aggregate query carries) merge under the existing cπ/cσ/… into one
+//! channel m-op that runs once per channel tuple. Membership keeps the
+//! per-window results exact, so this only widens what may share, as the
+//! channel rules' own `normalize_window` does for `;` and `µ`.
 
 use std::collections::HashMap;
 
 use rumor_types::StreamId;
 
-use crate::logical::OpDef;
+use crate::logical::{AggSpec, OpDef};
 use crate::plan::PlanGraph;
 
 /// Interned signature id; equal ids ⟺ sharable streams.
@@ -78,7 +90,10 @@ impl Sharability {
                     // Special case for selection (§3.2): σ(T) ~ T.
                     input_sigs[0]
                 } else {
-                    intern_node(SigNode::Op(member.def.clone(), input_sigs), &mut intern)
+                    intern_node(
+                        SigNode::Op(without_window(&member.def), input_sigs),
+                        &mut intern,
+                    )
                 };
                 sig_of_stream.insert(member.output, sig);
             }
@@ -100,10 +115,22 @@ impl Sharability {
     }
 }
 
+/// The definition as `~` sees it: an aggregate's window is zeroed (see the
+/// module doc); every other operator is compared as defined.
+fn without_window(def: &OpDef) -> OpDef {
+    match def {
+        OpDef::Aggregate(spec) => OpDef::Aggregate(AggSpec {
+            window: 0,
+            ..spec.clone()
+        }),
+        other => other.clone(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logical::{AggFunc, AggSpec};
+    use crate::logical::AggFunc;
     use rumor_expr::{Expr, Predicate};
     use rumor_types::Schema;
 
@@ -167,12 +194,28 @@ mod tests {
     #[test]
     fn different_definitions_not_sharable() {
         let mut p = PlanGraph::new();
-        p.add_source("S", Schema::ints(1), None).unwrap();
+        p.add_source("S", Schema::ints(2), None).unwrap();
         let s = p.source_by_name("S").unwrap().stream;
-        let (_, a1) = p.add_op(agg(10), vec![s]).unwrap();
-        let (_, a2) = p.add_op(agg(20), vec![s]).unwrap();
+        let with = |f: fn(&mut AggSpec)| {
+            let OpDef::Aggregate(mut spec) = agg(10) else {
+                unreachable!()
+            };
+            f(&mut spec);
+            OpDef::Aggregate(spec)
+        };
+        let (_, base) = p.add_op(agg(10), vec![s]).unwrap();
+        let (_, wider) = p.add_op(agg(20), vec![s]).unwrap();
+        let (_, func) = p.add_op(with(|a| a.func = AggFunc::Max), vec![s]).unwrap();
+        let (_, input) = p.add_op(with(|a| a.input = Expr::col(1)), vec![s]).unwrap();
+        let (_, grouped) = p.add_op(with(|a| a.group_by = vec![1]), vec![s]).unwrap();
         let sh = Sharability::analyze(&p);
-        assert!(!sh.sharable(a1, a2), "different windows are different ops");
+        assert!(sh.sharable(base, wider), "aggregate windows are free");
+        for other in [func, input, grouped] {
+            assert!(
+                !sh.sharable(base, other),
+                "func, input, group-by still differ"
+            );
+        }
     }
 
     #[test]

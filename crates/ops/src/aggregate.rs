@@ -1,10 +1,13 @@
 //! Shared window-aggregation m-ops.
 //!
 //! * [`SharedAggregate`] — rule sα \[22\]: aggregations with the same
-//!   function, input expression, and window but *different group-by
-//!   specifications* over one stream. The window buffer, input-expression
-//!   evaluation, and eviction scan are shared; each member keeps
-//!   incrementally-maintained per-group states.
+//!   function and input expression over one stream, with *different
+//!   group-by specifications and windows*. One ring of `(ts, value)` holds
+//!   every input tuple as long as the widest window needs it; each member
+//!   keeps an eviction cursor into it and per-group running states. Input
+//!   evaluation, group-key hashing (once per distinct group-by) and the
+//!   buffer are shared, and members whose row for an event is equal emit
+//!   one tuple on one channel tuple.
 //! * [`FragmentAggregate`] — rule cα \[15\]: *identical* aggregations over
 //!   sharable streams encoded by a channel. Partial aggregates are kept per
 //!   (group, membership-fragment); a member's aggregate is the combination
@@ -13,9 +16,9 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use rumor_core::logical::AggSpec;
+use rumor_core::logical::{AggFunc, AggSpec};
 use rumor_core::{ChannelTuple, Emit, MopContext, MultiOp};
-use rumor_expr::EvalCtx;
+use rumor_expr::{EvalCtx, Expr};
 use rumor_types::{Membership, PortId, Result, RumorError, Timestamp, Tuple, Value, ValueKey};
 
 use crate::emitgroup::OutputGroups;
@@ -42,17 +45,99 @@ fn output_row(tuple: &Tuple, group_by: &[usize], result: Value) -> Tuple {
     Tuple::new(tuple.ts, values)
 }
 
-/// Shared aggregate evaluation across group-by specifications (rule sα).
+/// One distinct group-by of an sα m-op: groups are interned to dense ids,
+/// and the states of its members live in one flat `Vec` indexed by
+/// `(id, slot)`. An id lives while some ring entry carries it, then is
+/// recycled.
+struct GroupBy {
+    cols: Vec<usize>,
+    ids: HashMap<Vec<ValueKey>, u32>,
+    /// Per id: the group key and how many ring entries carry the id.
+    keys: Vec<(Vec<ValueKey>, usize)>,
+    free: Vec<u32>,
+    /// Members using this group-by.
+    slots: usize,
+    /// State of `(id, slot)` at `id * slots + slot`.
+    states: Vec<GroupState>,
+}
+
+impl GroupBy {
+    fn intern(&mut self, tuple: &Tuple, func: AggFunc, scratch: &mut Vec<ValueKey>) -> u32 {
+        scratch.clear();
+        scratch.extend(
+            self.cols
+                .iter()
+                .map(|&i| tuple.value(i).map_or(ValueKey::Null, Value::group_key)),
+        );
+        let id = match self.ids.get(scratch.as_slice()) {
+            Some(&id) => id,
+            None => {
+                let id = match self.free.pop() {
+                    Some(id) => {
+                        self.keys[id as usize].0.clone_from(scratch);
+                        id
+                    }
+                    None => {
+                        self.keys.push((scratch.clone(), 0));
+                        let n = self.keys.len() * self.slots;
+                        self.states.resize_with(n, || GroupState::new(func));
+                        (self.keys.len() - 1) as u32
+                    }
+                };
+                self.ids.insert(scratch.clone(), id);
+                id
+            }
+        };
+        self.keys[id as usize].1 += 1;
+        id
+    }
+
+    /// A ring entry carrying `id` left the ring.
+    fn release(&mut self, id: u32) {
+        let (key, refs) = &mut self.keys[id as usize];
+        *refs -= 1;
+        if *refs == 0 {
+            self.ids.remove(key.as_slice());
+            self.free.push(id);
+        }
+    }
+
+    fn state(&mut self, id: u32, slot: usize) -> &mut GroupState {
+        &mut self.states[id as usize * self.slots + slot]
+    }
+}
+
+/// One sα member: which group-by it uses (and its slot there), its window,
+/// and the absolute ring index of its oldest live entry.
+struct Member {
+    group_by: usize,
+    slot: usize,
+    window: u64,
+    cursor: usize,
+}
+
+/// Shared aggregate evaluation across group-bys and windows (rule sα).
 pub struct SharedAggregate {
-    specs: Vec<AggSpec>,
+    func: AggFunc,
+    input: Expr,
     in_position: usize,
-    /// Shared window buffer: (ts, input tuple, aggregated value). Stored
-    /// once no matter how many members aggregate it.
-    window: VecDeque<(Timestamp, Tuple, Value)>,
-    window_len: u64,
-    /// Per member: group key → incrementally maintained state.
-    groups: Vec<HashMap<Vec<ValueKey>, GroupState>>,
+    group_bys: Vec<GroupBy>,
+    members: Vec<Member>,
+    /// The shared window buffer: `(ts, aggregated value)` per input tuple,
+    /// kept until every member has evicted it.
+    ring: VecDeque<(Timestamp, Value)>,
+    /// Per ring entry, its group id under each group-by (stride
+    /// `group_bys.len()`).
+    ring_ids: VecDeque<u32>,
+    /// Absolute index of `ring[0]`.
+    base: usize,
     outputs: OutputGroups,
+    /// Per-event scratch: the distinct rows `(group-by, result, members)`;
+    /// only the first `n` entries are live. The member lists keep their
+    /// capacity across events — rebuilding them cost ≈ 10 % of `keyed_agg`
+    /// throughput (6/6 A/B pairs).
+    rows: Vec<(usize, Value, Vec<usize>)>,
+    key: Vec<ValueKey>,
 }
 
 impl SharedAggregate {
@@ -64,7 +149,7 @@ impl SharedAggregate {
             .ok_or_else(|| RumorError::exec("empty aggregate m-op".to_string()))?;
         if specs.iter().any(|s| s.shared_key() != first.shared_key()) {
             return Err(RumorError::exec(
-                "sα members must share function, input, and window".to_string(),
+                "sα members must share function and input".to_string(),
             ));
         }
         let in_position = ctx.members[0].input_positions[0];
@@ -77,33 +162,44 @@ impl SharedAggregate {
                 "sα members must read the same stream".to_string(),
             ));
         }
-        Ok(SharedAggregate {
-            window_len: first.window,
-            groups: vec![HashMap::new(); specs.len()],
-            specs,
-            in_position,
-            window: VecDeque::new(),
-            outputs: OutputGroups::new(&ctx.members),
-        })
-    }
-
-    fn evict(&mut self, now: Timestamp) {
-        while let Some((ts, _, _)) = self.window.front() {
-            if now.saturating_sub(self.window_len) > *ts || self.window_len == 0 {
-                let (_, tuple, v) = self.window.pop_front().expect("checked front");
-                for (spec, groups) in self.specs.iter().zip(self.groups.iter_mut()) {
-                    let key = group_key(&tuple, &spec.group_by);
-                    if let Some(g) = groups.get_mut(&key) {
-                        g.remove(&v);
-                        if g.is_empty() {
-                            groups.remove(&key);
-                        }
-                    }
+        let mut group_bys: Vec<GroupBy> = Vec::new();
+        let mut members = Vec::with_capacity(specs.len());
+        for spec in &specs {
+            let group_by = match group_bys.iter().position(|g| g.cols == spec.group_by) {
+                Some(d) => d,
+                None => {
+                    group_bys.push(GroupBy {
+                        cols: spec.group_by.clone(),
+                        ids: HashMap::new(),
+                        keys: Vec::new(),
+                        free: Vec::new(),
+                        slots: 0,
+                        states: Vec::new(),
+                    });
+                    group_bys.len() - 1
                 }
-            } else {
-                break;
-            }
+            };
+            members.push(Member {
+                group_by,
+                slot: group_bys[group_by].slots,
+                window: spec.window,
+                cursor: 0,
+            });
+            group_bys[group_by].slots += 1;
         }
+        Ok(SharedAggregate {
+            func: first.func,
+            input: first.input.clone(),
+            in_position,
+            group_bys,
+            members,
+            ring: VecDeque::new(),
+            ring_ids: VecDeque::new(),
+            base: 0,
+            outputs: OutputGroups::new(&ctx.members),
+            rows: Vec::new(),
+            key: Vec::new(),
+        })
     }
 }
 
@@ -113,30 +209,93 @@ impl MultiOp for SharedAggregate {
             return;
         }
         let tuple = &input.tuple;
-        self.evict(tuple.ts);
-        // The input expression is evaluated once for all members.
-        let v = self.specs[0].input.eval(&EvalCtx::unary(tuple));
-        self.window.push_back((tuple.ts, tuple.clone(), v.clone()));
-        for (idx, (spec, groups)) in self.specs.iter().zip(self.groups.iter_mut()).enumerate() {
-            let key = group_key(tuple, &spec.group_by);
-            let g = groups.entry(key).or_default();
-            g.add(&v);
-            let row = output_row(tuple, &spec.group_by, g.result(spec.func));
-            self.outputs.emit_one(out, row, idx);
+        let now = tuple.ts;
+        let func = self.func;
+        let stride = self.group_bys.len();
+        // The input expression is evaluated, and the group key hashed, once
+        // for all members.
+        let v = self.input.eval(&EvalCtx::unary(tuple));
+        for gb in &mut self.group_bys {
+            let id = gb.intern(tuple, func, &mut self.key);
+            self.ring_ids.push_back(id);
+        }
+        let newest = self.base + self.ring.len();
+        self.ring.push_back((now, v));
+        let v = &self.ring[newest - self.base].1;
+
+        let mut n = 0;
+        for (idx, m) in self.members.iter_mut().enumerate() {
+            let gb = &mut self.group_bys[m.group_by];
+            // Evict what left this member's window: `ts < now - window`,
+            // or everything before this tuple when `window = 0`.
+            while m.cursor < newest {
+                let i = m.cursor - self.base;
+                let (ts, old) = &self.ring[i];
+                if m.window != 0 && now.saturating_sub(m.window) <= *ts {
+                    break;
+                }
+                let state = gb.state(self.ring_ids[i * stride + m.group_by], m.slot);
+                state.remove(old);
+                if state.is_empty() {
+                    *state = GroupState::new(func);
+                }
+                m.cursor += 1;
+            }
+            let id = self.ring_ids[(newest - self.base) * stride + m.group_by];
+            let state = gb.state(id, m.slot);
+            state.add(v);
+            let result = state.result(func);
+            let key = result.group_key();
+            match self.rows[..n]
+                .iter_mut()
+                .find(|(d, r, _)| *d == m.group_by && r.group_key() == key)
+            {
+                Some((_, _, members)) => members.push(idx),
+                None => {
+                    if n == self.rows.len() {
+                        self.rows.push((m.group_by, result, vec![idx]));
+                    } else {
+                        let row = &mut self.rows[n];
+                        row.0 = m.group_by;
+                        row.1 = result;
+                        row.2.clear();
+                        row.2.push(idx);
+                    }
+                    n += 1;
+                }
+            }
+        }
+        for (d, result, members) in &self.rows[..n] {
+            let row = output_row(tuple, &self.group_bys[*d].cols, result.clone());
+            self.outputs.emit_members(out, &row, members);
+        }
+
+        // Drop the prefix every member has evicted, releasing its ids.
+        let oldest = self
+            .members
+            .iter()
+            .map(|m| m.cursor)
+            .min()
+            .unwrap_or(newest);
+        while self.base < oldest {
+            self.ring.pop_front();
+            for gb in &mut self.group_bys {
+                gb.release(self.ring_ids.pop_front().expect("ids per ring entry"));
+            }
+            self.base += 1;
         }
     }
 
     fn partition_keys(&self) -> rumor_core::PartitionKeys {
-        // A group's state depends only on the tuples of that group (the
-        // shared window buffer is per-group at eviction time, and eviction
-        // is a pure ts horizon), so any hash key that every member's
-        // group-by refines keeps each group whole: report the intersection
-        // of the members' group-by attribute sets.
-        let mut common: Vec<usize> = self.specs[0].group_by.clone();
+        // A group's state depends only on the tuples of that group (eviction
+        // is a pure per-member ts horizon), so any hash key that every
+        // member's group-by refines keeps each group whole: report the
+        // intersection of the members' group-by attribute sets.
+        let mut common: Vec<usize> = self.group_bys[0].cols.clone();
         common.sort_unstable();
         common.dedup();
-        for spec in &self.specs[1..] {
-            common.retain(|a| spec.group_by.contains(a));
+        for gb in &self.group_bys[1..] {
+            common.retain(|a| gb.cols.contains(a));
         }
         if common.is_empty() {
             rumor_core::PartitionKeys::Opaque
@@ -146,7 +305,12 @@ impl MultiOp for SharedAggregate {
     }
 
     fn state_size(&self) -> usize {
-        self.window.len() + self.groups.iter().map(HashMap::len).sum::<usize>()
+        self.ring.len()
+            + self
+                .group_bys
+                .iter()
+                .map(|g| g.keys.len() - g.free.len())
+                .sum::<usize>()
     }
 
     fn name(&self) -> &'static str {
@@ -234,7 +398,7 @@ impl MultiOp for FragmentAggregate {
         match frags.iter_mut().find(|(m, _)| *m == input.membership) {
             Some((_, g)) => g.add(&v),
             None => {
-                let mut g = GroupState::new();
+                let mut g = GroupState::new(self.spec.func);
                 g.add(&v);
                 frags.push((input.membership.clone(), g));
             }
@@ -248,7 +412,7 @@ impl MultiOp for FragmentAggregate {
         let mut by_result: Vec<(ValueKey, Value, Vec<usize>)> = Vec::new();
         for &m in &relevant {
             let pos = self.in_positions[m];
-            let mut combined = GroupState::new();
+            let mut combined = GroupState::new(self.spec.func);
             for (membership, g) in frags {
                 if membership.contains(pos) {
                     combined.merge_from(g);
@@ -358,6 +522,96 @@ mod tests {
         }
         // At ts=4 both earlier tuples expired.
         assert_eq!(sink.out[2].1, Tuple::ints(4, &[5]));
+    }
+
+    #[test]
+    fn shared_aggregate_across_windows_emits_equal_rows_once() {
+        let mut p = PlanGraph::new();
+        p.add_source("S", Schema::ints(3), None).unwrap();
+        let s = p.source_by_name("S").unwrap().stream;
+        let mut ids = Vec::new();
+        let mut outs = Vec::new();
+        for w in [1, 3, 10] {
+            let (id, o) = p
+                .add_op(OpDef::Aggregate(spec(AggFunc::Sum, vec![0], w)), vec![s])
+                .unwrap();
+            ids.push(id);
+            outs.push(o);
+        }
+        let merged = p.merge_mops(&ids, MopKind::SharedAggregate).unwrap();
+        p.encode_channel(&outs).unwrap();
+        let ctx = MopContext::build(&p, merged).unwrap();
+        let mut op = SharedAggregate::new(&ctx).unwrap();
+        let mut sink = VecEmit::default();
+        for (ts, v) in [(0, 10), (2, 5), (5, 1)] {
+            op.process(
+                PortId::LEFT,
+                &ChannelTuple::solo(Tuple::ints(ts, &[7, v, 0])),
+                &mut sink,
+            );
+        }
+        let got: Vec<_> = sink
+            .out
+            .iter()
+            .map(|(_, t, m)| (t.clone(), m.clone()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                // Every window holds the one tuple: one row for all three.
+                (Tuple::ints(0, &[7, 10]), Membership::all(3)),
+                // Window 1 lost ts 0; windows 3 and 10 agree.
+                (Tuple::ints(2, &[7, 5]), Membership::singleton(0)),
+                (Tuple::ints(2, &[7, 15]), Membership::from_indices([1, 2])),
+                // Each window differs now.
+                (Tuple::ints(5, &[7, 1]), Membership::singleton(0)),
+                (Tuple::ints(5, &[7, 6]), Membership::singleton(1)),
+                (Tuple::ints(5, &[7, 16]), Membership::singleton(2)),
+            ]
+        );
+        // The ring is as long as the widest window needs.
+        assert_eq!(op.ring.len(), 3);
+    }
+
+    #[test]
+    fn group_leaving_every_window_returns_fresh_with_a_recycled_id() {
+        let mut p = PlanGraph::new();
+        p.add_source("S", Schema::ints(2), None).unwrap();
+        let s = p.source_by_name("S").unwrap().stream;
+        let ids: Vec<_> = [2, 5]
+            .into_iter()
+            .map(|w| {
+                let def = OpDef::Aggregate(AggSpec {
+                    func: AggFunc::Sum,
+                    input: Expr::col(1),
+                    group_by: vec![0],
+                    window: w,
+                });
+                p.add_op(def, vec![s]).unwrap().0
+            })
+            .collect();
+        let merged = p.merge_mops(&ids, MopKind::SharedAggregate).unwrap();
+        let ctx = MopContext::build(&p, merged).unwrap();
+        let mut op = SharedAggregate::new(&ctx).unwrap();
+        let mut sink = VecEmit::default();
+        let mut push = |op: &mut SharedAggregate, ts, group, v| {
+            let t = Tuple::new(ts, vec![Value::Int(group), v]);
+            op.process(PortId::LEFT, &ChannelTuple::solo(t), &mut sink);
+            sink.out.last().unwrap().1.clone()
+        };
+        // Group 7 carries a float, then leaves both windows while group 8
+        // arrives; group 7's id is released with the last ring entry.
+        push(&mut op, 0, 7, Value::Float(0.1));
+        push(&mut op, 20, 8, Value::Int(1));
+        assert_eq!(op.group_bys[0].free, vec![0]);
+        assert_eq!(op.state_size(), 1 + 1, "one ring entry, one live group");
+        // Group 7 returns: the freed id is reused and its state is fresh —
+        // an integer sum, not a float one left over from 0.1.
+        let row = push(&mut op, 21, 7, Value::Int(3));
+        assert_eq!(row, Tuple::ints(21, &[7, 3]));
+        assert!(op.group_bys[0].free.is_empty());
+        assert_eq!(op.group_bys[0].keys.len(), 2, "id recycled, not grown");
+        assert_eq!(op.group_bys[0].ids[&vec![ValueKey::Int(7)]], 0);
     }
 
     fn fragment_setup(n: usize) -> (PlanGraph, MopContext) {

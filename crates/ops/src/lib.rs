@@ -11,8 +11,9 @@
 //! * [`select`] — predicate-indexed selection (rule sσ, the FR/AN index
 //!   equivalents of §4.3) and channelized selection (rule cσ).
 //! * [`project`] — shared and channelized projection (the §3.1 example).
-//! * [`aggregate`] — shared window aggregation (rule sα, \[22\]) and shared
-//!   fragment aggregation over channels (rule cα, \[15\]).
+//! * [`aggregate`] — shared window aggregation across group-bys and
+//!   windows (rule sα, \[22\]) and shared fragment aggregation over
+//!   channels (rule cα, \[15\]).
 //! * [`join`] — shared window joins across window lengths (rule s⋈, \[12\])
 //!   and precision-sharing joins over channels (rule c⋈, \[14\]).
 //! * [`sequence`] — the Cayuga `;` operator with the Active-Instance (AI)

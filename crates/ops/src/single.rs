@@ -115,6 +115,10 @@ impl ProjectExec {
 // ----------------------------------------------------------------------
 
 /// Incrementally maintained aggregate state of one group.
+///
+/// A state that empties must be replaced by a fresh one (as [`AggExec`]
+/// drops an empty group): `sum_float` and `all_int` are not restored by
+/// removals, so only a fresh state keeps results bit-identical.
 #[derive(Debug, Clone)]
 pub struct GroupState {
     /// Number of tuples in the group (COUNT, and AVG's denominator).
@@ -127,19 +131,15 @@ pub struct GroupState {
     pub sum_float: f64,
     /// Whether every non-null input so far was an integer.
     pub all_int: bool,
-    /// Multiset of values for MIN/MAX under eviction.
+    /// Multiset of values for MIN/MAX under eviction; empty for COUNT, SUM
+    /// and AVG, which never pay for it.
     pub values: BTreeMap<OrdValue, usize>,
-}
-
-impl Default for GroupState {
-    fn default() -> Self {
-        GroupState::new()
-    }
+    ordered: bool,
 }
 
 impl GroupState {
-    /// Fresh, empty state.
-    pub fn new() -> Self {
+    /// Fresh, empty state for `func`.
+    pub fn new(func: AggFunc) -> Self {
         GroupState {
             count: 0,
             value_count: 0,
@@ -147,6 +147,7 @@ impl GroupState {
             sum_float: 0.0,
             all_int: true,
             values: BTreeMap::new(),
+            ordered: matches!(func, AggFunc::Min | AggFunc::Max),
         }
     }
 
@@ -154,21 +155,21 @@ impl GroupState {
     pub fn add(&mut self, v: &Value) {
         self.count += 1;
         match v {
-            Value::Null => {}
+            Value::Null => return,
             Value::Int(i) => {
-                self.value_count += 1;
                 self.sum_int = self.sum_int.wrapping_add(*i);
                 self.sum_float += *i as f64;
-                *self.values.entry(OrdValue(v.clone())).or_insert(0) += 1;
             }
             other => {
-                self.value_count += 1;
                 self.all_int = false;
                 if let Some(f) = other.as_float() {
                     self.sum_float += f;
                 }
-                *self.values.entry(OrdValue(other.clone())).or_insert(0) += 1;
             }
+        }
+        self.value_count += 1;
+        if self.ordered {
+            *self.values.entry(OrdValue(v.clone())).or_insert(0) += 1;
         }
     }
 
@@ -183,10 +184,13 @@ impl GroupState {
             if let Some(f) = v.as_float() {
                 self.sum_float -= f;
             }
-            if let Some(n) = self.values.get_mut(&OrdValue(v.clone())) {
-                *n -= 1;
-                if *n == 0 {
-                    self.values.remove(&OrdValue(v.clone()));
+            if self.ordered {
+                let key = OrdValue(v.clone());
+                if let Some(n) = self.values.get_mut(&key) {
+                    *n -= 1;
+                    if *n == 0 {
+                        self.values.remove(&key);
+                    }
                 }
             }
         }
@@ -240,15 +244,18 @@ impl GroupState {
         self.sum_int = self.sum_int.wrapping_add(other.sum_int);
         self.sum_float += other.sum_float;
         self.all_int &= other.all_int;
-        for (k, n) in &other.values {
-            *self.values.entry(k.clone()).or_insert(0) += n;
+        if self.ordered {
+            for (k, n) in &other.values {
+                *self.values.entry(k.clone()).or_insert(0) += n;
+            }
         }
     }
 }
 
 /// α: time-based sliding-window aggregation with group-by. On each input
-/// tuple, evicts expired tuples, folds the new one in, and emits the
-/// refreshed aggregate of the tuple's group.
+/// tuple at `now`, evicts every tuple with `ts < now - window` (all of
+/// them when `window = 0`), folds the new one in, and emits the refreshed
+/// aggregate of the tuple's group — the window is `[now - window, now]`.
 pub struct AggExec {
     spec: AggSpec,
     window: VecDeque<(Timestamp, Vec<ValueKey>, Value)>,
@@ -286,9 +293,13 @@ impl AggExec {
         let key = group_key(tuple, &self.spec.group_by);
         let v = self.spec.input.eval(&EvalCtx::unary(tuple));
         self.window.push_back((tuple.ts, key.clone(), v.clone()));
-        let g = self.groups.entry(key).or_default();
+        let func = self.spec.func;
+        let g = self
+            .groups
+            .entry(key)
+            .or_insert_with(|| GroupState::new(func));
         g.add(&v);
-        let result = g.result(self.spec.func);
+        let result = g.result(func);
         let mut values = Vec::with_capacity(self.spec.group_by.len() + 1);
         for &i in &self.spec.group_by {
             values.push(tuple.value(i).cloned().unwrap_or(Value::Null));
@@ -519,7 +530,7 @@ mod tests {
             window: 2,
         };
         let mut op = SingleOp::new(&OpDef::Aggregate(spec));
-        // Group 7: values 10 @0, 20 @1, 30 @3 (window 2 keeps ts in (t-2, t]).
+        // Group 7: values 10 @0, 20 @1, 30 @3 (window 2 keeps ts in [t-2, t]).
         let out = run_unary(
             &mut op,
             &[
@@ -730,8 +741,37 @@ mod tests {
     }
 
     #[test]
+    fn aggregate_window_boundaries() {
+        let sum = |window| {
+            SingleOp::new(&OpDef::Aggregate(AggSpec {
+                func: AggFunc::Sum,
+                input: Expr::col(0),
+                group_by: vec![],
+                window,
+            }))
+        };
+        // Window 2 at t = 5 keeps ts 3 (= t - 2, inclusive) and drops ts 2.
+        let out = run_unary(
+            &mut sum(2),
+            &[
+                Tuple::ints(2, &[100]),
+                Tuple::ints(3, &[10]),
+                Tuple::ints(5, &[1]),
+            ],
+        );
+        assert_eq!(out[2], Tuple::ints(5, &[11]));
+        // Window 0 keeps only the current tuple, even against a predecessor
+        // with an equal timestamp.
+        let out = run_unary(&mut sum(0), &[Tuple::ints(4, &[7]), Tuple::ints(4, &[2])]);
+        assert_eq!(out[1], Tuple::ints(4, &[2]));
+        // Window 1 with the same tie keeps both.
+        let out = run_unary(&mut sum(1), &[Tuple::ints(4, &[7]), Tuple::ints(4, &[2])]);
+        assert_eq!(out[1], Tuple::ints(4, &[9]));
+    }
+
+    #[test]
     fn group_state_result_types() {
-        let mut g = GroupState::new();
+        let mut g = GroupState::new(AggFunc::Min);
         g.add(&Value::Int(3));
         g.add(&Value::Int(4));
         assert_eq!(g.result(AggFunc::Sum), Value::Int(7));
@@ -745,8 +785,23 @@ mod tests {
     }
 
     #[test]
+    fn group_state_skips_the_multiset_unless_min_or_max() {
+        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg] {
+            let mut g = GroupState::new(func);
+            g.add(&Value::Int(3));
+            g.add(&Value::Float(0.5));
+            assert!(g.values.is_empty(), "{func}");
+            g.remove(&Value::Int(3));
+            assert_eq!(g.result(AggFunc::Count), Value::Int(1));
+        }
+        let mut g = GroupState::new(AggFunc::Max);
+        g.add(&Value::Int(3));
+        assert_eq!(g.values.len(), 1);
+    }
+
+    #[test]
     fn group_state_nulls_and_empty() {
-        let mut g = GroupState::new();
+        let mut g = GroupState::new(AggFunc::Min);
         g.add(&Value::Null);
         assert_eq!(g.result(AggFunc::Count), Value::Int(1), "COUNT counts rows");
         assert_eq!(g.result(AggFunc::Sum), Value::Null);
@@ -757,9 +812,9 @@ mod tests {
 
     #[test]
     fn group_state_merge() {
-        let mut a = GroupState::new();
+        let mut a = GroupState::new(AggFunc::Max);
         a.add(&Value::Int(1));
-        let mut b = GroupState::new();
+        let mut b = GroupState::new(AggFunc::Max);
         b.add(&Value::Int(5));
         a.merge_from(&b);
         assert_eq!(a.result(AggFunc::Sum), Value::Int(6));

@@ -15,7 +15,7 @@ use rumor_core::logical::{AggFunc, AggSpec, IterSpec, JoinSpec, OpDef, SeqSpec};
 use rumor_core::{ChannelTuple, MopContext, MopKind, MultiOp, PlanGraph, VecEmit};
 use rumor_expr::{CmpOp, Expr, NamedExpr, Predicate, SchemaMap};
 use rumor_ops::{instantiate, naive::NaiveMop};
-use rumor_types::{Membership, PortId, Schema, StreamId, Tuple};
+use rumor_types::{Membership, PortId, Schema, StreamId, Tuple, Value};
 
 /// An input event for the m-op under test.
 #[derive(Debug, Clone)]
@@ -174,6 +174,34 @@ fn events(n_ports: usize, len: usize, n_left: usize) -> impl Strategy<Value = Ve
     })
 }
 
+/// Aggregate inputs that `events` never produces: Float and Null
+/// aggregated values on `a2` (so a group that empties must come back with a
+/// fresh float sum and `all_int`) and tied timestamps (`dt = 0`, the
+/// `window = 0` boundary). Group-by columns `a0`, `a1` stay small ints.
+fn agg_events(len: usize) -> impl Strategy<Value = Vec<Event>> {
+    let value = prop_oneof![
+        (0i64..5).prop_map(Value::Int),
+        // 0.1-steps do not sum exactly; 1e16 absorbs them.
+        (1i64..4).prop_map(|k| Value::Float(k as f64 / 10.0)),
+        Just(Value::Float(1e16)),
+        Just(Value::Null),
+    ];
+    prop::collection::vec((0i64..4, 0i64..3, value, 0u64..3), 1..len).prop_map(|items| {
+        let mut ts = 0u64;
+        items
+            .into_iter()
+            .map(|(a0, a1, a2, dt)| {
+                ts += dt;
+                Event {
+                    port: 0,
+                    tuple: Tuple::new(ts, vec![Value::Int(a0), Value::Int(a1), a2]),
+                    membership: vec![0],
+                }
+            })
+            .collect()
+    })
+}
+
 fn eq_pred() -> impl Strategy<Value = Predicate> {
     (0usize..3, 0i64..5).prop_map(|(a, c)| Predicate::attr_eq_const(a, c))
 }
@@ -268,6 +296,27 @@ proptest! {
         let defs: Vec<OpDef> = groups
             .into_iter()
             .map(|g| OpDef::Aggregate(AggSpec {
+                func,
+                input: Expr::col(2),
+                group_by: g,
+                window,
+            }))
+            .collect();
+        assert_equivalent(defs, MopKind::SharedAggregate, false, evs);
+    }
+
+    /// sα across RANGEs: members with mixed group-bys and windows 0..12
+    /// (equal group-bys at different windows share group ids and emit
+    /// equal rows once) over floats, nulls and tied timestamps.
+    #[test]
+    fn shared_aggregate_across_windows_equals_naive(
+        func in agg_func(),
+        members in prop::collection::vec((group_by(), 0u64..13), 1..=6),
+        evs in agg_events(60),
+    ) {
+        let defs: Vec<OpDef> = members
+            .into_iter()
+            .map(|(g, window)| OpDef::Aggregate(AggSpec {
                 func,
                 input: Expr::col(2),
                 group_by: g,

@@ -116,40 +116,51 @@ fn figure8_prefix_merging_is_cse() {
 /// operators), cτ merges a column (same definition, sharable streams).
 #[test]
 fn figure2_and_3_duality() {
-    let mut plan = PlanGraph::new();
-    plan.add_source("S", Schema::ints(2), None).unwrap();
-    let alpha = |w| AggSpec {
+    let alpha = |input, window| AggSpec {
         func: AggFunc::Sum,
-        input: Expr::col(1),
+        input: Expr::col(input),
         group_by: vec![],
-        window: w,
+        window,
     };
-    // A 2x2 grid: two sharable input streams (σ1, σ2 over S) × two
-    // aggregation definitions (windows 10 and 20).
-    for c in [1i64, 2] {
-        for w in [10u64, 20] {
-            plan.add_query(
-                &LogicalPlan::source("S")
-                    .select(Predicate::attr_eq_const(0, c))
-                    .aggregate(alpha(w)),
-            )
-            .unwrap();
+    let grid = |defs: [AggSpec; 2]| {
+        let mut plan = PlanGraph::new();
+        plan.add_source("S", Schema::ints(2), None).unwrap();
+        // A 2x2 grid: two sharable input streams (σ1, σ2 over S) × two
+        // aggregation definitions.
+        for c in [1i64, 2] {
+            for def in &defs {
+                plan.add_query(
+                    &LogicalPlan::source("S")
+                        .select(Predicate::attr_eq_const(0, c))
+                        .aggregate(def.clone()),
+                )
+                .unwrap();
+            }
         }
-    }
-    Optimizer::new(OptimizerConfig::default())
-        .optimize(&mut plan)
-        .unwrap();
-    plan.validate().unwrap();
-    // One σ m-op; per aggregation definition one channel m-op (columns of
-    // Figure 3). sα cannot merge across windows, cα can merge across
-    // streams: 1 + 2 m-ops.
-    assert_eq!(plan.mop_count(), 3);
-    assert_eq!(
-        plan.mops()
-            .filter(|n| n.kind == MopKind::FragmentAggregate)
-            .count(),
-        2
-    );
+        Optimizer::new(OptimizerConfig::default())
+            .optimize(&mut plan)
+            .unwrap();
+        plan.validate().unwrap();
+        plan
+    };
+    let count = |plan: &PlanGraph, kind| plan.mops().filter(|n| n.kind == kind).count();
+
+    // Rows that differ in the aggregated input: sα cannot merge a row, cα
+    // merges each column across the two streams — one σ m-op plus one
+    // channel m-op per definition (the columns of Figure 3).
+    let columns = grid([alpha(0, 10), alpha(1, 10)]);
+    assert_eq!(columns.mop_count(), 3);
+    assert_eq!(count(&columns, MopKind::FragmentAggregate), 2);
+
+    // Rows that differ only in the window: sα merges each row (Figure 2),
+    // one window buffer per stream serving both RANGEs.
+    let rows = grid([alpha(1, 10), alpha(1, 20)]);
+    assert_eq!(rows.mop_count(), 3);
+    assert_eq!(count(&rows, MopKind::SharedAggregate), 2);
+    assert!(rows
+        .mops()
+        .filter(|n| n.kind == MopKind::SharedAggregate)
+        .all(|n| n.members.len() == 2));
 }
 
 /// Rule-application order produces the documented deterministic plan: the
