@@ -17,10 +17,25 @@ use rumor_types::{
 
 use crate::stats::{ExecStatsReport, OpCounters, OpStats, TIME_SAMPLE_EVERY};
 
-/// Receives query results during execution.
+/// Receives query results during execution, as they are produced.
+///
+/// A sink sees every result exactly once, in production order. A
+/// [`crate::Session`] passes its own per-query router as the sink of its
+/// single-threaded engine, so results are routed to subscriptions and the
+/// catch-all right at the tap, with no intermediate buffer.
 pub trait QuerySink {
     /// Called once per (query, result tuple).
     fn on_result(&mut self, query: QueryId, tuple: &Tuple);
+
+    /// One result tuple for each of `queries`, in order — how the executor
+    /// delivers a query tap: one call per channel tuple and tap position
+    /// instead of one dynamic call per query. Defaults to
+    /// [`QuerySink::on_result`] per query, statically dispatched.
+    fn on_results(&mut self, queries: &[QueryId], tuple: &Tuple) {
+        for &q in queries {
+            self.on_result(q, tuple);
+        }
+    }
 
     /// Whether the sink needs the per-query [`QuerySink::on_result`] calls.
     /// Counting sinks return `false` and receive [`QuerySink::on_batch`]
@@ -544,9 +559,7 @@ impl ExecutablePlan {
             if detailed {
                 for (pos, queries) in &self.query_taps[ch.index()] {
                     if ct.belongs_to(*pos) {
-                        for &q in queries {
-                            sink.on_result(q, &ct.tuple);
-                        }
+                        sink.on_results(queries, &ct.tuple);
                     }
                 }
             } else if let Some((mask, uniform)) = &self.tap_masks[ch.index()] {
@@ -817,9 +830,7 @@ impl ExecutablePlan {
             for ct in run {
                 for (pos, queries) in taps {
                     if ct.belongs_to(*pos) {
-                        for &q in queries {
-                            sink.on_result(q, &ct.tuple);
-                        }
+                        sink.on_results(queries, &ct.tuple);
                     }
                 }
             }

@@ -6,15 +6,15 @@
 //!
 //! ## One execution API
 //!
-//! Every engine speaks the same lifecycle — the [`EventRuntime`] trait
+//! Every session speaks the same lifecycle — the [`EventRuntime`] trait
 //! (`push` / `push_batch` / `push_batch_shared` / `flush` / `finish` /
-//! `update_plan`) — and is constructed through one builder:
-//! [`Rumor::session`]. The builder chain picks the engine; results come
-//! back through per-query [`Subscription`]s or the [`Session::collect_all`]
-//! catch-all:
+//! `update_plan`) — whichever engine runs it, and is constructed through
+//! one builder: [`Rumor::session`]. The builder chain picks the engine;
+//! results come back through per-query [`Subscription`]s or the
+//! [`Session::collect_all`] catch-all:
 //!
 //! * `session().build()?` — [`LocalRuntime`], the single-threaded push
-//!   engine.
+//!   engine, writing straight into the session's per-query route table.
 //! * `session().workers(n).build()?` — [`StreamingShardedRuntime`], the
 //!   persistent worker pool: long-lived workers behind bounded queues
 //!   with backpressure, fed by the static partition router

@@ -5,9 +5,9 @@
 //! RUMOR's premise is that *one* shared plan serves every registered
 //! query; this module makes the execution surface match. Both engines —
 //! the single-threaded push engine and the persistent streaming shard
-//! pool — implement the same
+//! pool — speak the same
 //! `push`/`push_batch`/`push_batch_shared`/`flush`/`finish`/`update_plan`
-//! trait, and a [`Session`] built by [`crate::Rumor::session`] wraps
+//! lifecycle, and a [`Session`] built by [`crate::Rumor::session`] wraps
 //! whichever engine the builder selected behind one result-delivery
 //! story:
 //!
@@ -34,17 +34,19 @@ use rumor_types::{Membership, QueryId, Result, RumorError, SourceId, Tuple};
 use crate::exec::{CollectingSink, ExecutablePlan, QuerySink};
 use crate::shard::{StreamingConfig, StreamingShardedRuntime};
 use crate::stats::{
-    sharing_attribution, trace_json_lines, ExecStatsReport, Histogram, IdBuild, LatAcc, QueryStats,
+    sharing_attribution, trace_json_lines, ExecStatsReport, Histogram, LatAcc, QueryStats,
     RuntimeStats, StatsSnapshot, TraceEvent, TraceRing, TIME_SAMPLE_EVERY,
 };
 
 /// The one execution lifecycle every RUMOR engine speaks.
 ///
-/// Implemented by both engines — [`LocalRuntime`] (the single-threaded
-/// push engine) and [`StreamingShardedRuntime`] (the persistent worker
-/// pool) — and by [`Session`], which wraps either of them behind the
-/// subscription layer. Generic drivers (the conformance harness, the
-/// throughput bench) are written once against this trait and run
+/// Implemented by [`Session`], which wraps either engine —
+/// [`LocalRuntime`] (the single-threaded push engine) or
+/// [`StreamingShardedRuntime`] (the persistent worker pool) — behind the
+/// subscription layer, and by the pool itself. (The local engine's push
+/// calls take the sink they write into, so it speaks the same lifecycle
+/// through inherent methods.) Generic drivers (the conformance harness,
+/// the throughput bench) are written once against this trait and run
 /// unchanged over every engine.
 ///
 /// Lifecycle contract, identical across implementations:
@@ -97,22 +99,25 @@ pub trait EventRuntime {
     fn update_plan(&mut self, plan: &PlanGraph) -> Result<()>;
 }
 
-/// The single-threaded engine behind the [`EventRuntime`] lifecycle: an
-/// [`ExecutablePlan`] paired with the sink it feeds. This is the engine a
-/// [`Session`] runs when the builder's worker count is omitted — and the
-/// reference semantics every parallel engine must reproduce.
-pub struct LocalRuntime<S: QuerySink + Default> {
+/// The single-threaded engine: an [`ExecutablePlan`] and its lifecycle.
+/// This is the engine a [`Session`] runs when the builder's worker count
+/// is omitted — and the reference semantics every parallel engine must
+/// reproduce.
+///
+/// It owns no sink: every push call writes into the one it is handed, so
+/// a [`Session`] passes its per-query router and each result is routed
+/// once, at the tap. Lifecycle errors match [`EventRuntime`]'s: after
+/// [`LocalRuntime::finish`] every call returns [`RumorError::Finished`].
+pub struct LocalRuntime {
     exec: ExecutablePlan,
-    sink: S,
     finished: bool,
 }
 
-impl<S: QuerySink + Default> LocalRuntime<S> {
-    /// Compiles `plan` into a single-threaded runtime with a default sink.
+impl LocalRuntime {
+    /// Compiles `plan` into a single-threaded runtime.
     pub fn new(plan: &PlanGraph) -> Result<Self> {
         Ok(LocalRuntime {
             exec: ExecutablePlan::new(plan)?,
-            sink: S::default(),
             finished: false,
         })
     }
@@ -129,11 +134,28 @@ impl<S: QuerySink + Default> LocalRuntime<S> {
         self.exec.events_in
     }
 
-    /// Takes everything the sink accumulated since the last drain,
-    /// leaving a fresh default sink in place. Valid after
-    /// [`EventRuntime::finish`] (that is how the final results get out).
-    pub fn drain_sink(&mut self) -> S {
-        std::mem::take(&mut self.sink)
+    /// The executor's per-m-op counters.
+    pub fn stats_report(&self) -> ExecStatsReport {
+        self.exec.stats_report()
+    }
+
+    /// Processes one source tuple, writing its results into `sink`.
+    #[inline]
+    pub fn push(&mut self, source: SourceId, tuple: Tuple, sink: &mut dyn QuerySink) -> Result<()> {
+        self.ensure_live("push")?;
+        self.exec.push(source, tuple, sink)
+    }
+
+    /// Processes a timestamp-ordered event slice, writing its results
+    /// into `sink`.
+    #[inline]
+    pub fn push_batch(
+        &mut self,
+        events: &[(SourceId, Tuple)],
+        sink: &mut dyn QuerySink,
+    ) -> Result<()> {
+        self.ensure_live("push_batch")?;
+        self.exec.push_batch(events, sink)
     }
 
     /// Pushes one channel tuple on a channel-group source (Workload 3's
@@ -145,37 +167,28 @@ impl<S: QuerySink + Default> LocalRuntime<S> {
         source: SourceId,
         tuple: Tuple,
         membership: Membership,
+        sink: &mut dyn QuerySink,
     ) -> Result<()> {
         self.ensure_live("push_channel")?;
-        self.exec
-            .push_channel(source, tuple, membership, &mut self.sink)
-    }
-}
-
-impl<S: QuerySink + Default> EventRuntime for LocalRuntime<S> {
-    fn push(&mut self, source: SourceId, tuple: Tuple) -> Result<()> {
-        self.ensure_live("push")?;
-        self.exec.push(source, tuple, &mut self.sink)
+        self.exec.push_channel(source, tuple, membership, sink)
     }
 
-    fn push_batch(&mut self, events: &[(SourceId, Tuple)]) -> Result<()> {
-        self.ensure_live("push_batch")?;
-        self.exec.push_batch(events, &mut self.sink)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        // The single-threaded engine drains every push inline; the
-        // barrier is trivially satisfied.
+    /// The barrier: the engine drains every push inline, so it is
+    /// trivially satisfied — only the liveness check remains.
+    pub fn flush(&self) -> Result<()> {
         self.ensure_live("flush")
     }
 
-    fn finish(&mut self) -> Result<()> {
+    /// Ends the lifecycle.
+    pub fn finish(&mut self) -> Result<()> {
         self.ensure_live("finish")?;
         self.finished = true;
         Ok(())
     }
 
-    fn update_plan(&mut self, plan: &PlanGraph) -> Result<()> {
+    /// Hot-swaps onto a mutated plan graph, carrying the state of every
+    /// operator the change does not touch.
+    pub fn update_plan(&mut self, plan: &PlanGraph) -> Result<()> {
         self.ensure_live("update_plan")?;
         self.exec.apply_delta(plan)
     }
@@ -323,13 +336,9 @@ impl<'a> SessionBuilder<'a> {
         Ok(Session {
             backend,
             names: self.names,
-            subs: HashMap::default(),
-            unclaimed: Vec::new(),
+            delivery: Delivery::default(),
             plan: self.plan.clone(),
-            latency: HashMap::default(),
             ingest_mark: None,
-            mark_fresh: false,
-            cached_latency: 0,
             push_count: 0,
             flush_hist: Histogram::new(),
             update_hist: Histogram::new(),
@@ -348,31 +357,203 @@ struct SubChannel {
     buf: Mutex<VecDeque<Tuple>>,
 }
 
-/// One query's slot in the session's subscription map: the weak channel
-/// handle plus that query's latency accumulator. Keeping the accumulator
-/// *in the entry* means the delivery hot path records latency with the
-/// same map probe it already pays to find the channel — no second
-/// per-tuple hash lookup. (Under `stats-off` the accumulator is dead
-/// weight that is never touched.)
-struct SubEntry {
-    chan: Weak<SubChannel>,
+/// One query's slot in the session's route table.
+#[derive(Default)]
+struct Route {
+    /// The query's subscription, if one was made. Weak: dropping the
+    /// handle unsubscribes, and the tap sees it as a zero strong count.
+    chan: Option<Weak<SubChannel>>,
+    /// Results for the live subscription since the last hand-over.
+    pending: Vec<Tuple>,
+    /// Results since the last hand-over, claimed or not. Also the
+    /// `touched` dedupe, so it counts under `stats-off` too.
+    fresh: u64,
+    /// Emitted tally and ingest→delivery latency — one per query, whether
+    /// or not it is subscribed.
     lat: LatAcc,
+}
+
+impl Route {
+    /// Whether a subscription handle is alive — a plain load, so a handle
+    /// dropped between deliveries sends the very next result to the
+    /// catch-all, in production order.
+    fn live(&self) -> bool {
+        self.chan.as_ref().is_some_and(|c| c.strong_count() > 0)
+    }
+}
+
+/// The session's result router, indexed densely by [`QueryId::index`].
+///
+/// It is the [`QuerySink`] the local engine writes into, so a result is
+/// routed once, at the tap: to its query's `pending` when a subscription
+/// is live, otherwise straight onto the catch-all in production order.
+/// [`Delivery::hand_over`] then visits only the queries that produced
+/// something, once per delivery point. The pool's merged barrier output
+/// goes through the same [`Delivery::route`] + `hand_over`.
+#[derive(Default)]
+struct Delivery {
+    routes: Vec<Route>,
+    /// Indices of the routes with `fresh > 0`, in first-result order.
+    touched: Vec<u32>,
+    /// The catch-all [`Session::collect_all`] drains.
+    unclaimed: Vec<(QueryId, Tuple)>,
+    /// Subscriptions to ids the session's plan does not know (yet):
+    /// stale, foreign, or not installed by `update_plan` so far. They
+    /// wait here so an arbitrary [`QueryId`] never sizes the table.
+    parked: Vec<(QueryId, Weak<SubChannel>)>,
+}
+
+impl Delivery {
+    /// Counts one result for `query` and says whether a live
+    /// subscription claims it.
+    #[inline]
+    fn count(&mut self, query: QueryId) -> bool {
+        let i = query.index();
+        if i >= self.routes.len() {
+            self.grow(i);
+        }
+        let route = &mut self.routes[i];
+        if route.fresh == 0 {
+            self.touched.push(query.0);
+        }
+        route.fresh += 1;
+        route.live()
+    }
+
+    /// Extends the table to query index `i` — once per query, at its
+    /// first result or subscription.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, i: usize) {
+        self.routes.resize_with(i + 1, Route::default);
+    }
+
+    /// Points `query`'s route at `chan`, superseding any earlier
+    /// subscription. Only ids the table already covers or the plan knows
+    /// (`known`) get a route; any other waits in `parked`.
+    fn attach(&mut self, query: QueryId, chan: Weak<SubChannel>, known: bool) {
+        self.parked
+            .retain(|(q, c)| *q != query && c.strong_count() > 0);
+        let i = query.index();
+        if i < self.routes.len() || known {
+            if i >= self.routes.len() {
+                self.grow(i);
+            }
+            self.routes[i].chan = Some(chan);
+        } else {
+            self.parked.push((query, chan));
+        }
+    }
+
+    /// After a plan swap: routes the parked subscriptions whose query the
+    /// new plan knows.
+    fn unpark(&mut self, plan: &PlanGraph) {
+        for (query, chan) in std::mem::take(&mut self.parked) {
+            self.attach(query, chan, plan_knows(plan, query));
+        }
+    }
+
+    /// Routes one owned result.
+    fn route(&mut self, query: QueryId, tuple: Tuple) {
+        if self.count(query) {
+            self.routes[query.index()].pending.push(tuple);
+        } else {
+            self.unclaimed.push((query, tuple));
+        }
+    }
+
+    /// The delivery point: counts every touched query's results, records
+    /// their latency when `mark` holds a fresh ingest mark (taking it),
+    /// and moves each `pending` into its subscription under one lock.
+    fn hand_over(&mut self, mark: &mut Option<Instant>) {
+        if self.touched.is_empty() {
+            return;
+        }
+        let sample = mark.take().map(|m| m.elapsed().as_nanos() as u64);
+        for i in self.touched.drain(..) {
+            let route = &mut self.routes[i as usize];
+            let n = std::mem::take(&mut route.fresh);
+            if crate::stats::STATS_COMPILED {
+                route.lat.note_emits(n);
+                if let Some(ns) = sample {
+                    route.lat.record_n(ns, n);
+                }
+            }
+            if route.pending.is_empty() {
+                continue;
+            }
+            match route.chan.as_ref().and_then(Weak::upgrade) {
+                Some(chan) => chan
+                    .buf
+                    .lock()
+                    .expect("subscription poisoned")
+                    .extend(route.pending.drain(..)),
+                // Dropped on another thread since the tap checked it.
+                None => self
+                    .unclaimed
+                    .extend(route.pending.drain(..).map(|t| (QueryId(i), t))),
+            }
+        }
+    }
+
+    /// Outside a delivery point nothing waits in `pending`.
+    fn debug_assert_idle(&self) {
+        debug_assert!(
+            self.touched.is_empty() && self.routes.iter().all(|r| r.pending.is_empty()),
+            "results stranded between tap and hand-over"
+        );
+    }
+}
+
+fn plan_knows(plan: &PlanGraph, query: QueryId) -> bool {
+    plan.query_outputs().iter().any(|&(q, _)| q == query)
+}
+
+impl QuerySink for Delivery {
+    fn on_result(&mut self, query: QueryId, tuple: &Tuple) {
+        self.route(query, tuple.clone());
+    }
+
+    /// A whole tap at once: every query is counted first, and when none
+    /// of them is claimed — the catch-all case — the results are appended
+    /// with one `extend` instead of one push per query.
+    fn on_results(&mut self, queries: &[QueryId], tuple: &Tuple) {
+        let mut claimed = false;
+        for &q in queries {
+            claimed |= self.count(q);
+        }
+        if !claimed {
+            self.unclaimed
+                .extend(queries.iter().map(|&q| (q, tuple.clone())));
+            return;
+        }
+        for &q in queries {
+            let route = &mut self.routes[q.index()];
+            if route.live() {
+                route.pending.push(tuple.clone());
+            } else {
+                self.unclaimed.push((q, tuple.clone()));
+            }
+        }
+    }
 }
 
 /// A handle to one query's result stream (from [`Session::subscribe`]).
 ///
 /// Results the session delivers for this query land here instead of in
-/// [`Session::collect_all`]'s catch-all. Drain them with
-/// [`Subscription::drain`] or iterate the handle directly (the iterator
-/// is non-blocking: it ends when the buffer is currently empty and
-/// resumes yielding once more results are delivered).
+/// [`Session::collect_all`]'s catch-all. The session hands them over
+/// once per delivery point — one lock per subscription, however many
+/// results the point carries. Drain them with [`Subscription::drain`] or
+/// iterate the handle directly (the iterator is non-blocking: it ends
+/// when the buffer is currently empty and resumes yielding once more
+/// results are delivered).
 ///
 /// **Unsubscribing** is dropping the handle (or calling the explicit
-/// [`Subscription::unsubscribe`]): the session notices on the next
-/// delivery and routes the query's further results back to the
-/// catch-all. At most one subscription per query is live at a time — a
-/// newer [`Session::subscribe`] for the same query supersedes the old
-/// handle, which keeps what it already received but gets nothing new.
+/// [`Subscription::unsubscribe`]): the query's further results go back
+/// to the catch-all, in production order among the other queries'. At
+/// most one subscription per query is live at a time — a newer
+/// [`Session::subscribe`] for the same query supersedes the old handle,
+/// which keeps what it already received but gets nothing new.
 #[must_use = "dropping a subscription unsubscribes it; hold it to receive results"]
 pub struct Subscription {
     chan: Arc<SubChannel>,
@@ -424,28 +605,25 @@ impl Iterator for Subscription {
 
 enum Backend {
     /// Boxed: the single-threaded runtime embeds the whole executable
-    /// plan, dwarfing the pool's handles.
-    Local(Box<LocalRuntime<CollectingSink>>),
+    /// plan. The session passes it its [`Delivery`] router as the sink.
+    Local(Box<LocalRuntime>),
     /// Boxed too: the pool carries routing state, staging buffers, and a
     /// flight-recorder ring.
     Streaming(Box<StreamingShardedRuntime<CollectingSink>>),
 }
 
 impl Backend {
-    /// Barrier + drain on a *live* engine — the mid-stream delivery
-    /// point. Pulls everything accumulated since the last drain (for the
-    /// worker pool: merged across workers, worker 0 first, then
-    /// `(ts, query)`-normalized by `MergeSink::finalize`). Returns the
+    /// Barrier on a *live* engine — the mid-stream delivery point.
+    /// Returns the pool's merged output since the last barrier (worker 0
+    /// first, then `(ts, query)`-normalized by `MergeSink::finalize`);
+    /// the local engine routes inline, so it returns nothing. Returns the
     /// typed [`RumorError::Finished`] after `finish`, like every other
     /// lifecycle call.
-    fn drain_live(&mut self) -> Result<CollectingSink> {
+    fn barrier(&mut self) -> Result<Vec<(QueryId, Tuple)>> {
         match self {
             // `flush` doubles as the liveness check on the engine whose
-            // barrier is free (it drains every push inline).
-            Backend::Local(rt) => {
-                rt.flush()?;
-                Ok(rt.drain_sink())
-            }
+            // barrier is free.
+            Backend::Local(rt) => rt.flush().map(|()| Vec::new()),
             // The streaming sink handoff is itself a drain barrier (queue
             // FIFO + blocking recv) — one cross-worker round-trip; a
             // separate flush here would pay a second one.
@@ -453,61 +631,8 @@ impl Backend {
                 if rt.is_finished() {
                     return Err(RumorError::finished("flush"));
                 }
-                rt.drain_sink()
+                Ok(rt.drain_sink()?.results)
             }
-        }
-    }
-
-    /// The final drain after a successful `finish` (lifecycle checks
-    /// already passed): whatever the shutdown engine still holds.
-    fn drain_final(&mut self) -> CollectingSink {
-        match self {
-            Backend::Local(rt) => rt.drain_sink(),
-            Backend::Streaming(rt) => rt.take_final_sink(),
-        }
-    }
-}
-
-impl EventRuntime for Backend {
-    fn push(&mut self, source: SourceId, tuple: Tuple) -> Result<()> {
-        match self {
-            Backend::Local(rt) => rt.push(source, tuple),
-            Backend::Streaming(rt) => rt.push(source, tuple),
-        }
-    }
-
-    fn push_batch(&mut self, events: &[(SourceId, Tuple)]) -> Result<()> {
-        match self {
-            Backend::Local(rt) => rt.push_batch(events),
-            Backend::Streaming(rt) => rt.push_batch(events),
-        }
-    }
-
-    fn push_batch_shared(&mut self, events: Arc<Vec<(SourceId, Tuple)>>) -> Result<()> {
-        match self {
-            Backend::Local(rt) => rt.push_batch_shared(events),
-            Backend::Streaming(rt) => rt.push_batch_shared(events),
-        }
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        match self {
-            Backend::Local(rt) => rt.flush(),
-            Backend::Streaming(rt) => rt.flush(),
-        }
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        match self {
-            Backend::Local(rt) => rt.finish(),
-            Backend::Streaming(rt) => rt.finish(),
-        }
-    }
-
-    fn update_plan(&mut self, plan: &PlanGraph) -> Result<()> {
-        match self {
-            Backend::Local(rt) => rt.update_plan(plan),
-            Backend::Streaming(rt) => rt.update_plan(plan),
         }
     }
 }
@@ -528,12 +653,21 @@ impl EventRuntime for Backend {
 /// ## When results are delivered
 ///
 /// Results surface to subscriptions and the catch-all at *delivery
-/// points*: immediately after every push for the single-threaded
-/// session, and at every [`EventRuntime::flush`] /
+/// points*: at the end of every push call for the single-threaded
+/// session (and after every 1024-event slice of a large `push_batch`, so
+/// a consumer on another thread sees results while the batch runs), and
+/// at every [`EventRuntime::flush`] /
 /// [`EventRuntime::finish`] barrier for the parallel sessions (worker
 /// sinks are merged deterministically at the barrier — worker 0 first,
 /// then `(ts, query)`-ordered within the barrier epoch). `flush()` is
 /// therefore the portable "make results visible now" call.
+///
+/// Each result is routed once, as it is produced: the single-threaded
+/// engine writes straight into the session's per-query route table, and
+/// the pool's merged barrier output goes through the same table. A
+/// delivery point then hands each subscribed query's results to its
+/// [`Subscription`] in one step. Unclaimed results reach the catch-all in
+/// production order across queries.
 ///
 /// ## Results produced before the first subscriber
 ///
@@ -548,33 +682,20 @@ impl EventRuntime for Backend {
 pub struct Session {
     backend: Backend,
     names: HashMap<String, QueryId>,
-    subs: HashMap<QueryId, SubEntry, IdBuild>,
-    unclaimed: Vec<(QueryId, Tuple)>,
+    /// Per-query routes, the catch-all, and per-query emitted/latency
+    /// accumulators (compact [`LatAcc`]s that expand to full
+    /// [`Histogram`]s only when a snapshot is assembled).
+    delivery: Delivery,
     /// The plan the backend currently runs (kept in step by
     /// [`EventRuntime::update_plan`]) — what [`Session::stats`] attributes
     /// sharing against and [`Session::explain`] renders.
     plan: PlanGraph,
-    /// Per-query ingest→delivery latency for queries with *no live
-    /// subscription entry*: catch-all deliveries, plus accumulators
-    /// reclaimed from dead or superseded subscriptions. Queries with a
-    /// live entry record into [`SubEntry::lat`] instead — riding the
-    /// `subs` probe the delivery path already pays — and the two are
-    /// merged at snapshot time. Compact [`LatAcc`]s behind a
-    /// multiply-shift hasher; they expand to full [`Histogram`]s only
-    /// when a snapshot is assembled.
-    latency: HashMap<QueryId, LatAcc, IdBuild>,
-    /// The freshest sampled ingest timestamp: one `push` in
+    /// A sampled ingest timestamp not yet measured: one `push` in
     /// [`TIME_SAMPLE_EVERY`] (every batch entry point) takes an
-    /// `Instant`, so deliveries can measure true queueing + processing
-    /// delay without a clock read per event.
+    /// `Instant`, and the next delivery point that hands anything over
+    /// takes it back, reads the clock once, and records that latency for
+    /// every result it delivers — no clock read per event.
     ingest_mark: Option<Instant>,
-    /// Whether `ingest_mark` was re-taken since the last delivery (the
-    /// delivery point reads the clock once, then reuses the measured
-    /// value for every tuple of the batch).
-    mark_fresh: bool,
-    /// The last measured ingest→delivery latency (nanoseconds), reused
-    /// for deliveries between samples.
-    cached_latency: u64,
     /// `push` calls seen — the sampling phase counter.
     push_count: u64,
     /// Flush-barrier latency (every [`EventRuntime::flush`] and the final
@@ -591,23 +712,18 @@ pub struct Session {
 
 impl Session {
     /// Subscribes to one query's results. Supersedes any previous live
-    /// subscription for the same query (see [`Subscription`]).
+    /// subscription for the same query (see [`Subscription`]). An id the
+    /// session's plan does not know yet — e.g. a query added live whose
+    /// plan has not been installed with [`EventRuntime::update_plan`] —
+    /// starts receiving once an `update_plan` installs it.
     pub fn subscribe(&mut self, query: QueryId) -> Subscription {
+        self.delivery.debug_assert_idle();
         let chan = Arc::new(SubChannel {
             query,
             buf: Mutex::new(VecDeque::new()),
         });
-        let entry = SubEntry {
-            chan: Arc::downgrade(&chan),
-            lat: LatAcc::default(),
-        };
-        if let Some(old) = self.subs.insert(query, entry) {
-            // A superseded subscription's latency samples still belong
-            // to the query — reclaim them into the session-side map.
-            if crate::stats::STATS_COMPILED && old.lat.emitted() > 0 {
-                self.latency.entry(query).or_default().absorb(&old.lat);
-            }
-        }
+        let known = plan_knows(&self.plan, query);
+        self.delivery.attach(query, Arc::downgrade(&chan), known);
         Subscription { chan }
     }
 
@@ -631,7 +747,8 @@ impl Session {
     /// (see the type docs); call [`EventRuntime::flush`] first to force
     /// one.
     pub fn collect_all(&mut self) -> Vec<(QueryId, Tuple)> {
-        std::mem::take(&mut self.unclaimed)
+        self.delivery.debug_assert_idle();
+        std::mem::take(&mut self.delivery.unclaimed)
     }
 
     /// Source events accepted so far.
@@ -668,106 +785,24 @@ impl Session {
         tuple: Tuple,
         membership: Membership,
     ) -> Result<()> {
-        match &mut self.backend {
-            Backend::Local(rt) => rt.push_channel(source, tuple, membership)?,
-            _ => {
-                return Err(RumorError::exec(
-                    "channel input requires a single-threaded session (omit workers)".to_string(),
-                ))
-            }
-        }
-        self.deliver_local();
-        Ok(())
+        let Backend::Local(rt) = &mut self.backend else {
+            return Err(RumorError::exec(
+                "channel input requires a single-threaded session (omit workers)".to_string(),
+            ));
+        };
+        let res = rt.push_channel(source, tuple, membership, &mut self.delivery);
+        self.delivery.hand_over(&mut self.ingest_mark);
+        res
     }
 
-    /// Routes a batch of drained results: each to its query's live
-    /// subscription, the rest to the catch-all. A delivery batch that
-    /// follows a fresh ingest mark is *sampled*: it reads the clock once
-    /// and records every tuple's ingest→delivery latency; unsampled
-    /// batches only advance the exact per-query emitted tallies (one
-    /// counter add riding the subscription probe).
+    /// The pool's delivery point: routes a barrier's merged output
+    /// through the same table the local engine writes into, then hands
+    /// it over.
     fn deliver(&mut self, results: Vec<(QueryId, Tuple)>) {
-        let sampled = crate::stats::STATS_COMPILED && self.mark_fresh;
-        if sampled {
-            if let Some(mark) = self.ingest_mark {
-                self.cached_latency = mark.elapsed().as_nanos() as u64;
-            }
-            self.mark_fresh = false;
-        }
         for (query, tuple) in results {
-            let chan = match self.subs.get_mut(&query) {
-                Some(entry) => {
-                    // The tally rides the probe that just found the
-                    // channel — no second per-tuple map lookup.
-                    if crate::stats::STATS_COMPILED {
-                        entry.lat.note_emit();
-                        if sampled {
-                            entry.lat.record(self.cached_latency);
-                        }
-                    }
-                    entry.chan.upgrade()
-                }
-                None => {
-                    if crate::stats::STATS_COMPILED {
-                        let acc = self.latency.entry(query).or_default();
-                        acc.note_emit();
-                        if sampled {
-                            acc.record(self.cached_latency);
-                        }
-                    }
-                    self.unclaimed.push((query, tuple));
-                    continue;
-                }
-            };
-            match chan {
-                Some(chan) => chan
-                    .buf
-                    .lock()
-                    .expect("subscription poisoned")
-                    .push_back(tuple),
-                None => {
-                    // Dead weak handles (dropped subscriptions) are
-                    // pruned lazily, right when a result would have gone
-                    // to them; their latency samples fold back into the
-                    // session-side map.
-                    let entry = self.subs.remove(&query).expect("probed above");
-                    if crate::stats::STATS_COMPILED && entry.lat.emitted() > 0 {
-                        self.latency.entry(query).or_default().absorb(&entry.lat);
-                    }
-                    self.unclaimed.push((query, tuple));
-                }
-            }
+            self.delivery.route(query, tuple);
         }
-    }
-
-    /// Takes a fresh ingest mark — the batch entry points always mark
-    /// (one clock read amortized over the whole batch).
-    fn mark_ingest(&mut self) {
-        if crate::stats::STATS_COMPILED {
-            self.ingest_mark = Some(Instant::now());
-            self.mark_fresh = true;
-        }
-    }
-
-    /// Single-threaded delivery point: the local engine produced results
-    /// synchronously during the last push; route them now.
-    fn deliver_local(&mut self) {
-        if let Backend::Local(rt) = &mut self.backend {
-            if !rt.sink.results.is_empty() {
-                let sink = rt.drain_sink();
-                self.deliver(sink.results);
-            }
-        }
-    }
-
-    /// Barrier delivery point on the live session: drain whatever the
-    /// engine accumulated and route it.
-    fn deliver_barrier(&mut self) -> Result<()> {
-        let sink = self.backend.drain_live()?;
-        if !sink.results.is_empty() {
-            self.deliver(sink.results);
-        }
-        Ok(())
+        self.delivery.hand_over(&mut self.ingest_mark);
     }
 
     /// A consistent snapshot of every runtime counter the session keeps:
@@ -784,7 +819,7 @@ impl Session {
     /// [`StatsSnapshot::to_json`].
     pub fn stats(&mut self) -> Result<StatsSnapshot> {
         let (engine, report): (&'static str, ExecStatsReport) = match &mut self.backend {
-            Backend::Local(rt) => ("local", rt.exec.stats_report()),
+            Backend::Local(rt) => ("local", rt.stats_report()),
             Backend::Streaming(rt) => ("streaming", rt.exec_stats()?),
         };
         let runtime = RuntimeStats {
@@ -800,24 +835,18 @@ impl Session {
             update: self.update_hist.clone(),
         };
         // Query rows come from the plan's registration order — not from
-        // the latency map — so zero-emit queries appear and the snapshot
+        // the route table — so zero-emit queries appear and the snapshot
         // shape is identical across engines.
         let queries = self
             .plan
             .query_outputs()
             .iter()
             .map(|&(q, _)| {
-                // A query's samples can live in two places: the live
-                // subscription entry and the session-side map (catch-all
-                // deliveries + reclaimed dead subscriptions).
-                let mut acc = self.latency.get(&q).cloned().unwrap_or_default();
-                if let Some(entry) = self.subs.get(&q) {
-                    acc.absorb(&entry.lat);
-                }
+                let lat = self.delivery.routes.get(q.index()).map(|r| &r.lat);
                 QueryStats {
                     query: q,
-                    emitted: acc.emitted(),
-                    latency: acc.to_histogram(),
+                    emitted: lat.map_or(0, LatAcc::emitted),
+                    latency: lat.map(LatAcc::to_histogram).unwrap_or_default(),
                 }
             })
             .collect();
@@ -1013,12 +1042,18 @@ impl Session {
     }
 }
 
-/// Events per delivery slice of a single-threaded session's `push_batch`:
-/// results route to subscriptions while the producing slice is still
-/// cache-resident instead of accumulating in one sink that is drained
-/// cold after the whole batch. Matches the engine's internal batch chunk
-/// so slicing never splits a dispatch unit.
+/// Events per delivery slice of a single-threaded session's `push_batch`.
+/// Matches the executor's internal batch chunk, so slicing never splits a
+/// dispatch unit.
 const LOCAL_DELIVERY_CHUNK: usize = 1024;
+
+/// Takes a fresh ingest mark — the batch entry points always mark (one
+/// clock read amortized over the whole batch).
+fn mark_ingest(mark: &mut Option<Instant>) {
+    if crate::stats::STATS_COMPILED {
+        *mark = Some(Instant::now());
+    }
+}
 
 impl EventRuntime for Session {
     fn push(&mut self, source: SourceId, tuple: Tuple) -> Result<()> {
@@ -1028,44 +1063,56 @@ impl EventRuntime for Session {
             // per-event `Instant::now` on the hottest path.
             if self.push_count & (TIME_SAMPLE_EVERY - 1) == 0 {
                 self.ingest_mark = Some(Instant::now());
-                self.mark_fresh = true;
             }
             self.push_count += 1;
         }
-        self.backend.push(source, tuple)?;
-        self.deliver_local();
-        Ok(())
+        let rt = match &mut self.backend {
+            Backend::Local(rt) => rt,
+            Backend::Streaming(rt) => return rt.push(source, tuple),
+        };
+        // Hand over even on error: what the call produced is delivered.
+        let res = rt.push(source, tuple, &mut self.delivery);
+        self.delivery.hand_over(&mut self.ingest_mark);
+        res
     }
 
     fn push_batch(&mut self, events: &[(SourceId, Tuple)]) -> Result<()> {
-        self.mark_ingest();
-        if matches!(self.backend, Backend::Local(_)) && !events.is_empty() {
-            for chunk in events.chunks(LOCAL_DELIVERY_CHUNK) {
-                self.backend.push_batch(chunk)?;
-                self.deliver_local();
-            }
-            return Ok(());
+        mark_ingest(&mut self.ingest_mark);
+        let rt = match &mut self.backend {
+            Backend::Local(rt) => rt,
+            Backend::Streaming(rt) => return rt.push_batch(events),
+        };
+        if events.is_empty() {
+            // No slice to hand over, but still the liveness check.
+            return rt.push_batch(events, &mut self.delivery);
         }
-        self.backend.push_batch(events)?;
-        self.deliver_local();
+        // One delivery point per slice: results reach subscribers every
+        // LOCAL_DELIVERY_CHUNK events, while the slice is still
+        // cache-resident, and `pending` never holds more than one slice.
+        for chunk in events.chunks(LOCAL_DELIVERY_CHUNK) {
+            let res = rt.push_batch(chunk, &mut self.delivery);
+            self.delivery.hand_over(&mut self.ingest_mark);
+            res?;
+        }
         Ok(())
     }
 
     fn push_batch_shared(&mut self, events: Arc<Vec<(SourceId, Tuple)>>) -> Result<()> {
-        if matches!(self.backend, Backend::Local(_)) {
-            return self.push_batch(&events);
+        match &mut self.backend {
+            Backend::Local(_) => self.push_batch(&events),
+            Backend::Streaming(rt) => {
+                mark_ingest(&mut self.ingest_mark);
+                rt.push_batch_shared(events)
+            }
         }
-        self.mark_ingest();
-        self.backend.push_batch_shared(events)?;
-        self.deliver_local();
-        Ok(())
     }
 
     fn flush(&mut self) -> Result<()> {
-        // drain_live is itself the barrier (it flushes or hands the
-        // worker sinks off), so no separate backend.flush() round-trip.
+        // The backend barrier is the flush (for the pool, the sink
+        // handoff), so no separate flush round-trip.
         let t = Instant::now();
-        self.deliver_barrier()?;
+        let results = self.backend.barrier()?;
+        self.deliver(results);
         // Barriers are control-plane (rare by construction), so their
         // latency histogram records even under `stats-off` — preserving
         // the barrier-count semantics the scalar counters always had.
@@ -1075,11 +1122,14 @@ impl EventRuntime for Session {
 
     fn finish(&mut self) -> Result<()> {
         let t = Instant::now();
-        self.backend.finish()?;
-        let sink = self.backend.drain_final();
-        if !sink.results.is_empty() {
-            self.deliver(sink.results);
-        }
+        let results = match &mut self.backend {
+            Backend::Local(rt) => rt.finish().map(|()| Vec::new())?,
+            Backend::Streaming(rt) => {
+                rt.finish()?;
+                rt.take_final_sink().results
+            }
+        };
+        self.deliver(results);
         self.flush_hist.record(t.elapsed().as_nanos() as u64);
         Ok(())
     }
@@ -1092,7 +1142,11 @@ impl EventRuntime for Session {
                 format!("quiesce for plan with {} m-ops", plan.mop_count()),
             );
         }
-        if let Err(e) = self.backend.update_plan(plan) {
+        let swapped = match &mut self.backend {
+            Backend::Local(rt) => rt.update_plan(plan),
+            Backend::Streaming(rt) => rt.update_plan(plan),
+        };
+        if let Err(e) = swapped {
             if crate::stats::STATS_COMPILED {
                 self.flight.record("swap_refused", e.to_string());
             }
@@ -1107,6 +1161,7 @@ impl EventRuntime for Session {
             );
         }
         self.plan = plan.clone();
+        self.delivery.unpark(&self.plan);
         Ok(())
     }
 }
@@ -1262,6 +1317,66 @@ mod tests {
     }
 
     #[test]
+    fn unknown_query_ids_do_not_size_the_route_table() {
+        let rumor = engine();
+        let s = rumor.source_id("s").unwrap();
+        let q0 = rumor.query_id("q0").unwrap();
+        for cfg in all_configs() {
+            let mut session = rumor.session().config(cfg.clone()).build().unwrap();
+            let mut foreign = session.subscribe(QueryId(u32::MAX));
+            let _stale = session.subscribe(QueryId(1 << 20));
+            assert!(session.delivery.routes.len() <= 2, "{cfg:?}");
+            let mut sub = session.subscribe(q0);
+            let batch: Vec<_> = events(9).into_iter().map(|t| (s, t)).collect();
+            session.push_batch(&batch).unwrap();
+            session.finish().unwrap();
+            assert!(foreign.drain().is_empty(), "{cfg:?}");
+            assert_eq!(sub.drain().len(), 3, "{cfg:?}");
+            assert_eq!(session.collect_all().len(), 3, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn subscription_before_update_plan_receives_once_installed() {
+        let mut rumor = engine();
+        let s = rumor.source_id("s").unwrap();
+        let mut session = rumor.session().build().unwrap();
+        let (added, _) = rumor
+            .execute_live("QUERY q2 AS SELECT * FROM s WHERE a = 2;")
+            .unwrap();
+        // Subscribed while the session still runs the old plan.
+        let mut sub = session.subscribe(added[0]);
+        session.update_plan(rumor.plan()).unwrap();
+        let batch: Vec<_> = events(9).into_iter().map(|t| (s, t)).collect();
+        session.push_batch(&batch).unwrap();
+        session.finish().unwrap();
+        assert_eq!(sub.drain().len(), 3);
+        assert!(session.collect_all().iter().all(|(q, _)| *q != added[0]));
+    }
+
+    #[test]
+    fn large_batches_hand_over_per_slice() {
+        let rumor = engine();
+        let s = rumor.source_id("s").unwrap();
+        let q0 = rumor.query_id("q0").unwrap();
+        let mut session = rumor.session().build().unwrap();
+        let mut sub = session.subscribe(q0);
+        let n = 3 * LOCAL_DELIVERY_CHUNK as u64 + 7;
+        let batch: Vec<_> = events(n).into_iter().map(|t| (s, t)).collect();
+        session.push_batch(&batch).unwrap();
+        let got = sub.drain();
+        assert_eq!(got.len() as u64, n.div_ceil(3));
+        assert!(got.windows(2).all(|w| w[0].ts < w[1].ts), "in order");
+        // Only the first slice's delivery carries the batch's ingest mark.
+        if crate::stats::STATS_COMPILED {
+            let snap = session.stats().unwrap();
+            let row = snap.queries.iter().find(|r| r.query == q0).unwrap();
+            assert_eq!(row.emitted, n.div_ceil(3));
+            assert_eq!(row.latency.count(), LOCAL_DELIVERY_CHUNK.div_ceil(3) as u64);
+        }
+    }
+
+    #[test]
     fn subscription_iterates_nonblocking() {
         let rumor = engine();
         let s = rumor.source_id("s").unwrap();
@@ -1285,11 +1400,14 @@ mod tests {
         let s = rumor.source_id("s").unwrap();
         let q0 = rumor.query_id("q0").unwrap();
         let q1 = rumor.query_id("q1").unwrap();
-        let mut shapes: Vec<(Vec<_>, Vec<_>)> = Vec::new();
+        let mut shapes: Vec<(Vec<_>, Vec<_>, Vec<_>)> = Vec::new();
         for cfg in all_configs() {
             let mut session = rumor.session().config(cfg.clone()).build().unwrap();
+            // q0 subscribed, q1 on the catch-all: both routes are counted.
+            let _sub = session.subscribe(q0);
             let batch: Vec<_> = events(30).into_iter().map(|t| (s, t)).collect();
-            session.push_batch(&batch).unwrap();
+            session.push_batch(&batch[..17]).unwrap();
+            session.push_batch(&batch[17..]).unwrap();
             session.finish().unwrap();
             let snap = session.stats().unwrap();
             assert_eq!(snap.events_in, 30, "{cfg:?}");
@@ -1300,6 +1418,9 @@ mod tests {
                 for (q, want) in [(q0, 10), (q1, 10)] {
                     let got = snap.queries.iter().find(|r| r.query == q).unwrap();
                     assert_eq!(got.emitted, want, "{cfg:?} {q}");
+                    // Every batch entry point marks ingest, so on a
+                    // push_batch-only feed every delivery is sampled.
+                    assert_eq!(got.latency.count(), got.emitted, "{cfg:?} {q}");
                 }
             }
             // Barrier latency histograms cover the finish barrier (these
@@ -1312,9 +1433,11 @@ mod tests {
             shapes.push((
                 snap.ops.iter().map(|o| o.mop).collect(),
                 snap.queries.iter().map(|r| r.query).collect(),
+                snap.queries.iter().map(|r| r.emitted).collect(),
             ));
         }
-        // Same plan → same snapshot shape on every engine.
+        // Same plan → same snapshot shape and per-query emitted counts on
+        // every engine.
         for shape in &shapes[1..] {
             assert_eq!(shape, &shapes[0]);
         }

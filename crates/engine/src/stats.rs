@@ -201,43 +201,8 @@ impl Histogram {
 }
 
 // ----------------------------------------------------------------------
-// Hot-path recording support: fast id hashing + compact accumulators.
+// Hot-path recording support: compact per-query accumulators.
 // ----------------------------------------------------------------------
-
-/// Multiply-shift hasher for small integer keys (`QueryId`, `MopId`).
-/// The std SipHash costs tens of nanoseconds per lookup — measurable on
-/// the per-delivered-tuple latency path — while a Fibonacci multiply is
-/// a couple of cycles and distributes sequential ids well.
-#[derive(Default, Clone)]
-pub(crate) struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        // Fold high entropy into the low bits the table indexes with.
-        self.0 ^ (self.0 >> 32)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// `BuildHasher` for [`IdHasher`]-keyed maps.
-pub(crate) type IdBuild = std::hash::BuildHasherDefault<IdHasher>;
 
 /// Inline bucket slots a [`LatAcc`] holds before spilling to a boxed
 /// [`Histogram`]. Latency values cluster into a handful of log buckets
@@ -245,16 +210,17 @@ pub(crate) type IdBuild = std::hash::BuildHasherDefault<IdHasher>;
 const LAT_INLINE: usize = 4;
 
 /// A compact per-query latency accumulator for the delivery hot path.
-/// A full [`Histogram`] is 536 bytes; at 1024 registered queries the
-/// per-query map blows past L2 and every delivered tuple pays a cache
+/// A full [`Histogram`] is 536 bytes; at 1024 registered queries a
+/// per-query table of them blows past L2 and every hand-over pays a cache
 /// miss. This accumulator is ~64 bytes — an exact `emitted` tally plus
 /// sparse `(bucket, count)` slots for the *sampled* deliveries — and
 /// expands to a `Histogram` at snapshot time
-/// ([`LatAcc::to_histogram`]). The split keeps the per-tuple hot-path
-/// work to one counter add: [`LatAcc::note_emit`] runs per delivered
-/// tuple, while [`LatAcc::record`] runs only for tuples in a sampled
-/// delivery batch (one batch in [`TIME_SAMPLE_EVERY`] on the per-event
-/// path). Within the sampled population nothing is lost: a fifth
+/// ([`LatAcc::to_histogram`]). The session touches it once per query per
+/// delivery point, never per tuple: [`LatAcc::note_emits`] adds the
+/// query's result count, and [`LatAcc::record_n`] records that many
+/// samples of the one measured latency when the delivery point is sampled
+/// (one in [`TIME_SAMPLE_EVERY`] on the per-event path, every batch entry
+/// point). Within the sampled population nothing is lost: a fifth
 /// distinct bucket (or a saturated slot) spills into a lazily boxed
 /// full histogram.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -271,68 +237,40 @@ pub(crate) struct LatAcc {
 }
 
 impl LatAcc {
-    /// Counts one delivered tuple — the only per-tuple cost on unsampled
-    /// delivery batches.
-    #[inline(always)]
-    pub(crate) fn note_emit(&mut self) {
-        self.emitted += 1;
+    /// Counts `n` delivered tuples.
+    #[inline]
+    pub(crate) fn note_emits(&mut self, n: u64) {
+        self.emitted += n;
     }
 
-    /// Records one latency sample (nanoseconds).
-    #[inline]
-    pub(crate) fn record(&mut self, value: u64) {
+    /// Records `n` latency samples of `value` nanoseconds — exactly what
+    /// `n` single recordings would leave behind (slots fill to `u32::MAX`,
+    /// the rest spills), in one pass over the slots.
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let b = Histogram::bucket(value) as u8;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        if value > self.max {
-            self.max = value;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
+        self.max = self.max.max(value);
+        let mut rest = n;
+        if let Some(slot) = self.slots.iter_mut().find(|s| s.1 == 0 || s.0 == b) {
+            let take = rest.min(u64::from(u32::MAX - slot.1));
+            *slot = (b, slot.1 + take as u32);
+            rest -= take;
         }
-        for slot in &mut self.slots {
-            if slot.1 == 0 {
-                *slot = (b, 1);
-                return;
-            }
-            if slot.0 == b {
-                if let Some(n) = slot.1.checked_add(1) {
-                    slot.1 = n;
-                    return;
-                }
-                break;
-            }
+        if rest > 0 {
+            // Fifth distinct bucket or a saturated slot: exact spill. The
+            // spill histogram only carries bucket counts; count/sum/max
+            // stay authoritative on the accumulator.
+            self.spill.get_or_insert_with(Default::default).buckets[b as usize] += rest;
         }
-        // Fifth distinct bucket or a saturated slot: exact spill. The
-        // spill histogram only carries bucket counts; count/sum/max stay
-        // authoritative on the accumulator.
-        self.spill.get_or_insert_with(Default::default).buckets[b as usize] += 1;
     }
 
     /// Tuples delivered (exact).
     pub(crate) fn emitted(&self) -> u64 {
         self.emitted
-    }
-
-    /// Folds another accumulator's samples into this one (exact — both
-    /// sides expand to histograms, so no bucket is lost). Cold path:
-    /// used when a dead subscription's accumulator is reclaimed and at
-    /// snapshot assembly, never per tuple.
-    pub(crate) fn absorb(&mut self, other: &LatAcc) {
-        self.emitted += other.emitted;
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            let emitted = self.emitted;
-            *self = other.clone();
-            self.emitted = emitted;
-            return;
-        }
-        let mut merged = self.to_histogram();
-        merged.absorb(&other.to_histogram());
-        self.count = merged.count;
-        self.sum = merged.sum;
-        self.max = merged.max;
-        self.slots = [(0, 0); LAT_INLINE];
-        self.spill = Some(Box::new(merged));
     }
 
     /// Expands into the equivalent full [`Histogram`].
@@ -1319,63 +1257,57 @@ mod tests {
         let mut acc = LatAcc::default();
         let mut direct = Histogram::new();
         for &v in &values {
-            acc.record(v);
+            acc.record_n(v, 1);
             direct.record(v);
         }
         assert_eq!(acc.to_histogram(), direct);
         // Sparse case: a single hot bucket never allocates the spill.
         let mut acc = LatAcc::default();
-        let mut direct = Histogram::new();
-        for _ in 0..1000 {
-            acc.record(42);
-            direct.record(42);
-        }
+        acc.record_n(42, 1000);
         assert!(acc.spill.is_none());
-        assert_eq!(acc.to_histogram(), direct);
+        assert_eq!(acc.slots[0], (Histogram::bucket(42) as u8, 1000));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `record_n(v, n)` is exactly `n` single recordings: the same
+        /// slots, spill, count, sum and max as `n` × `record_n(v, 1)`, and
+        /// the histogram `n` × [`Histogram::record`] builds.
+        #[test]
+        fn lat_acc_record_n_is_n_single_records(
+            runs in proptest::prop::collection::vec((0u64..1u64 << 40, 0u64..40), 0..24),
+        ) {
+            let (mut bulk, mut single, mut direct) =
+                (LatAcc::default(), LatAcc::default(), Histogram::new());
+            for &(v, n) in &runs {
+                bulk.record_n(v, n);
+                for _ in 0..n {
+                    single.record_n(v, 1);
+                    direct.record(v);
+                }
+            }
+            proptest::prop_assert_eq!(&bulk, &single);
+            proptest::prop_assert_eq!(bulk.to_histogram(), direct);
+        }
     }
 
     #[test]
-    fn lat_acc_absorb_is_exact() {
-        // absorb(a, b) must equal recording every sample into one
-        // accumulator, in every mix of empty/inline/spilled states —
-        // including recording more samples after the merge.
-        let a_vals = [3u64, 17, 512, 90_000, 1_000_000, 3, 17];
-        let b_vals = [7u64, 42, 42, 33_000_000, 2, 512, 90_000, 8_000];
-        let tail = [5u64, 999];
-        let mut a = LatAcc::default();
-        let mut b = LatAcc::default();
-        let mut direct = Histogram::new();
-        for &v in &a_vals {
-            a.record(v);
-            direct.record(v);
-        }
-        for &v in &b_vals {
-            b.record(v);
-            direct.record(v);
-        }
-        // Emitted tallies are independent of the sampled population and
-        // must survive the merge exactly.
-        for _ in 0..10 {
-            a.note_emit();
-        }
+    fn lat_acc_record_n_saturates_a_slot_then_spills() {
+        // From one below a full slot, a bulk record and the same samples
+        // one by one both fill the slot to u32::MAX and spill the rest.
+        let mut bulk = LatAcc::default();
+        bulk.record_n(9, u64::from(u32::MAX) - 1);
+        let mut single = bulk.clone();
+        bulk.record_n(9, 3);
         for _ in 0..3 {
-            b.note_emit();
+            single.record_n(9, 1);
         }
-        a.absorb(&b);
-        for &v in &tail {
-            a.record(v);
-            direct.record(v);
-        }
-        assert_eq!(a.to_histogram(), direct);
-        assert_eq!(a.emitted(), 13);
-        // Absorbing into an empty accumulator clones; absorbing an empty
-        // one is a no-op.
-        let mut empty = LatAcc::default();
-        empty.absorb(&b);
-        assert_eq!(empty.to_histogram(), b.to_histogram());
-        let before = b.to_histogram();
-        b.absorb(&LatAcc::default());
-        assert_eq!(b.to_histogram(), before);
+        assert_eq!(bulk, single);
+        assert_eq!(bulk.slots[0].1, u32::MAX);
+        let b = Histogram::bucket(9);
+        assert_eq!(bulk.spill.as_ref().map(|h| h.buckets[b]), Some(2));
+        assert_eq!(bulk.to_histogram().count(), u64::from(u32::MAX) + 2);
     }
 
     #[test]
