@@ -78,7 +78,7 @@ pub struct WorkloadReport {
     pub events: usize,
     /// m-ops in the optimized plan.
     pub mops: usize,
-    /// Whether the compiled plan qualified for the batched drain.
+    /// Whether the compiled plan drains in multi-tuple runs (all m-ops stateless).
     pub batch_safe: bool,
     /// Component verdicts of the partitioning analysis, e.g.
     /// `"stateless=1 keyed=0 pinned=0"` (what the `sharded_stream/*`

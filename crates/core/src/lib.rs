@@ -42,7 +42,7 @@ pub use logical::{AggFunc, AggSpec, IterSpec, JoinSpec, LogicalPlan, OpDef, SeqS
 pub use mop::{CountingEmit, Emit, MemberCtx, MopContext, MultiOp, VecEmit};
 pub use partition::{
     analyze as analyze_partitioning, reanalyze as reanalyze_partitioning, ComponentReport,
-    PartitionKeys, PartitionScheme, PinScope, SourceRoute, Verdict,
+    PartitionKeys, PartitionScheme, SourceRoute, Verdict,
 };
 pub use plan::{
     ChannelDef, Member, MopKind, MopNode, PlanDelta, PlanGraph, PlanSnapshot, Producer, SourceDef,

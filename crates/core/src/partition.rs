@@ -18,12 +18,10 @@
 //!   aggregate with no shared group attribute, lost attribute lineage):
 //!   the component must run on a single designated worker.
 //!
-//! Pinned *and keyed* verdicts are additionally refined per source by the
-//! stateful-cone analysis: only the subgraph from which a stateful m-op is
-//! reachable actually needs the constrained placement, so a source that
-//! also feeds purely stateless consumers splits its delivery
-//! ([`SourceRoute::PinnedSplit`] / [`SourceRoute::KeySplit`]) and the
-//! stateless leg round-robins for load balance.
+//! A source's route covers every consumer of its tuples: each tuple goes
+//! to one worker whole. Stateless sibling queries of a keyed or pinned
+//! component ride along with the stateful part — their results do not
+//! depend on placement — so adding or removing one never changes a route.
 //!
 //! The m-op side of the contract is [`PartitionKeys`], reported by every
 //! physical implementation through
@@ -38,7 +36,7 @@ use rumor_expr::{Expr, Side};
 use rumor_types::{MopId, Result, RumorError, SourceId, StreamId, Value};
 
 use crate::logical::OpDef;
-use crate::plan::{PlanDelta, PlanGraph, Producer};
+use crate::plan::{PlanDelta, PlanGraph};
 
 /// How a physical m-op's state is partitioned over its input attributes —
 /// the key introspection report backing the partitioning analysis.
@@ -88,39 +86,8 @@ pub enum SourceRoute {
     RoundRobin,
     /// Hash the listed attribute positions of the tuple.
     Key(Vec<usize>),
-    /// Split delivery for a *keyed* component with stateless sibling
-    /// queries: the stateful cone still receives every tuple on the
-    /// worker selected by hashing the listed attribute positions (exactly
-    /// as [`SourceRoute::Key`] would), but the source also feeds purely
-    /// stateless consumers (and/or direct query taps) outside the cone,
-    /// and that stateless subgraph round-robins across workers instead of
-    /// piling onto the hashed worker. Runtimes deliver such tuples twice —
-    /// once scoped to each subgraph — so the union of the two scoped
-    /// deliveries equals one full delivery. This is the keyed counterpart
-    /// of [`SourceRoute::PinnedSplit`].
-    KeySplit(Vec<usize>),
     /// Always worker 0.
     Pinned,
-    /// Split delivery for a pinned component with stateless sibling
-    /// queries: the *stateful subgraph* (every m-op from which a stateful
-    /// m-op is reachable) still executes on worker 0, but the source also
-    /// feeds purely stateless consumers (and/or direct query taps), and
-    /// that stateless subgraph round-robins across workers. Runtimes
-    /// deliver such tuples twice — once scoped to each subgraph — so the
-    /// union of the two scoped deliveries equals one full delivery.
-    PinnedSplit,
-}
-
-/// How much of a pinned component actually forces single-worker execution
-/// — the per-subgraph refinement of [`Verdict::Pinned`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PinScope {
-    /// Every consumer of the component's sources leads to a stateful m-op:
-    /// the whole component runs on worker 0.
-    WholeComponent,
-    /// Only the stateful subgraph is pinned; stateless sibling queries of
-    /// the same component round-robin ([`SourceRoute::PinnedSplit`]).
-    StatefulSubgraph,
 }
 
 /// One connected component of the plan's source/m-op graph.
@@ -130,9 +97,6 @@ pub struct ComponentReport {
     pub sources: Vec<SourceId>,
     /// The component verdict.
     pub verdict: Verdict,
-    /// For pinned components, how much of the component the pin covers
-    /// (`None` for stateless/keyed verdicts).
-    pub pin_scope: Option<PinScope>,
 }
 
 /// The partitioning scheme of a plan: a verdict per component and a
@@ -167,23 +131,14 @@ impl PartitionScheme {
             .count()
     }
 
-    /// Whether any component benefits from more than one worker. A pinned
-    /// component whose stateless subgraph splits off
-    /// ([`PinScope::StatefulSubgraph`]) counts: its sibling queries
-    /// round-robin even though the stateful subgraph stays on worker 0.
+    /// Whether any component benefits from more than one worker.
     pub fn is_parallelizable(&self) -> bool {
-        self.components.iter().any(|c| {
-            c.verdict != Verdict::Pinned || c.pin_scope == Some(PinScope::StatefulSubgraph)
-        })
+        self.components.iter().any(|c| c.verdict != Verdict::Pinned)
     }
 
     /// The worker index (out of `n`) for a tuple of `source` with the given
     /// attribute values, given a round-robin cursor for the source. The
-    /// cursor is advanced only on round-robin routes. For the split routes
-    /// ([`SourceRoute::PinnedSplit`], [`SourceRoute::KeySplit`]) this
-    /// returns the *stateful* leg (worker 0 / the hashed worker) without
-    /// touching the cursor; runtimes that implement the split deliver the
-    /// stateless leg separately.
+    /// cursor is advanced only on round-robin routes.
     pub fn worker_for(
         &self,
         source: SourceId,
@@ -192,13 +147,13 @@ impl PartitionScheme {
         rr_cursor: &mut usize,
     ) -> usize {
         match &self.routes[source.index()] {
-            SourceRoute::Pinned | SourceRoute::PinnedSplit => 0,
+            SourceRoute::Pinned => 0,
             SourceRoute::RoundRobin => {
                 let w = *rr_cursor % n;
                 *rr_cursor = (*rr_cursor + 1) % n;
                 w
             }
-            SourceRoute::Key(attrs) | SourceRoute::KeySplit(attrs) => {
+            SourceRoute::Key(attrs) => {
                 use std::hash::{Hash, Hasher};
                 let mut h = std::collections::hash_map::DefaultHasher::new();
                 for &a in attrs {
@@ -440,13 +395,6 @@ fn analyze_inner(
                     }
                 }
             }
-            // Direct-tap changes add or remove a stateless leg without
-            // touching any m-op (`PinScope`/`PinnedSplit` shifts).
-            for &src in &delta.retapped {
-                if src.index() < n_sources {
-                    touched_roots.insert(root_of[src.index()]);
-                }
-            }
             let mut clean = HashMap::new();
             for (root, sources) in sets {
                 if touched_roots.contains(&root) {
@@ -626,58 +574,6 @@ fn analyze_inner(
         pinned[r] = true;
     }
 
-    // --- stateful cone + per-source stateless subgraph -------------------
-    // An m-op is in the *stateful cone* when it is stateful itself (its key
-    // report is anything but `Stateless`) or a stateful m-op is reachable
-    // downstream of it. A pinned or keyed component only constrains its
-    // stateful cone (worker 0 / the hashed worker): source-channel
-    // consumers outside the cone (and query taps directly on a source
-    // stream) form a stateless subgraph whose work may round-robin across
-    // workers ([`SourceRoute::PinnedSplit`], [`SourceRoute::KeySplit`]).
-    let stateful_op: HashMap<MopId, bool> = reports
-        .iter()
-        .map(|(id, r)| (*id, !matches!(r, PartitionKeys::Stateless)))
-        .collect();
-    let mut channel_consumer_mops: Vec<Vec<MopId>> = vec![Vec::new(); plan.channel_slots()];
-    for &id in &order {
-        for &ch in &plan.mop(id).inputs {
-            channel_consumer_mops[ch.index()].push(id);
-        }
-    }
-    let mut in_cone: HashMap<MopId, bool> = HashMap::new();
-    for &id in order.iter().rev() {
-        let node = plan.mop(id);
-        // Missing reports are treated as stateful (maximally conservative).
-        let mut cone = stateful_op.get(&id).copied().unwrap_or(true);
-        if !cone {
-            'downstream: for m in &node.members {
-                let out_ch = plan.channel_of(m.output);
-                for consumer in &channel_consumer_mops[out_ch.index()] {
-                    if in_cone.get(consumer).copied().unwrap_or(true) {
-                        cone = true;
-                        break 'downstream;
-                    }
-                }
-            }
-        }
-        in_cone.insert(id, cone);
-    }
-    let mut has_free_part = vec![false; n_sources];
-    for src in plan.sources() {
-        let ch = plan.channel_of(src.stream);
-        if channel_consumer_mops[ch.index()]
-            .iter()
-            .any(|id| !in_cone.get(id).copied().unwrap_or(true))
-        {
-            has_free_part[src.id.index()] = true;
-        }
-    }
-    for &(_, stream) in plan.query_outputs() {
-        if let Producer::Source(source) = plan.stream(stream).producer {
-            has_free_part[source.index()] = true;
-        }
-    }
-
     // --- verdicts and routes ---------------------------------------------
     let mut by_root: HashMap<usize, Vec<SourceId>> = HashMap::new();
     for s in 0..n_sources {
@@ -711,26 +607,13 @@ fn analyze_inner(
         for &s in &sources {
             let si = s.index();
             routes[si] = match verdict {
-                Verdict::Pinned => {
-                    if has_free_part[si] {
-                        SourceRoute::PinnedSplit
-                    } else {
-                        SourceRoute::Pinned
-                    }
-                }
+                Verdict::Pinned => SourceRoute::Pinned,
                 Verdict::Stateless => SourceRoute::RoundRobin,
                 Verdict::Keyed => {
-                    // Keyed-cone splitting: the hash route only has to cover
-                    // the stateful cone. When the source also feeds
-                    // consumers outside the cone (stateless sibling
-                    // queries, direct taps), those round-robin instead of
-                    // piling onto the hashed worker — the keyed analogue of
-                    // the pinned-split refinement below.
                     let key = exact[si]
                         .clone()
                         .or_else(|| restrict[si].as_ref().map(|r| r.iter().copied().collect()));
                     match key {
-                        Some(key) if has_free_part[si] => SourceRoute::KeySplit(key),
                         Some(key) => SourceRoute::Key(key),
                         // Tuples of this source never reach stateful state.
                         None => SourceRoute::RoundRobin,
@@ -738,18 +621,7 @@ fn analyze_inner(
                 }
             };
         }
-        let pin_scope = (verdict == Verdict::Pinned).then(|| {
-            if sources.iter().any(|s| has_free_part[s.index()]) {
-                PinScope::StatefulSubgraph
-            } else {
-                PinScope::WholeComponent
-            }
-        });
-        components.push(ComponentReport {
-            sources,
-            verdict,
-            pin_scope,
-        });
+        components.push(ComponentReport { sources, verdict });
     }
 
     Ok(PartitionScheme { routes, components })
@@ -858,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn pinned_component_with_stateless_siblings_splits() {
+    fn pinned_component_with_stateless_siblings_routes_whole() {
         let mut p = PlanGraph::new();
         let s = p.add_source("S", Schema::ints(2), None).unwrap();
         let t = p.add_source("T", Schema::ints(2), None).unwrap();
@@ -871,9 +743,11 @@ mod tests {
             },
         ))
         .unwrap();
-        // ...but a purely stateless sibling query on S may round-robin.
+        // ...and a purely stateless sibling query on S rides along.
         p.add_query(&LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)))
             .unwrap();
+        // So does a bare tap on S.
+        p.add_query(&LogicalPlan::source("S")).unwrap();
         let reports: Vec<(MopId, PartitionKeys)> = p
             .mops()
             .map(|n| {
@@ -887,18 +761,14 @@ mod tests {
         let scheme = analyze(&p, &reports).unwrap();
         assert_eq!(scheme.components().len(), 1);
         assert_eq!(scheme.components()[0].verdict, Verdict::Pinned);
-        assert_eq!(
-            scheme.components()[0].pin_scope,
-            Some(PinScope::StatefulSubgraph)
-        );
-        // S feeds both subgraphs → split; T feeds only the sequence → pinned.
-        assert_eq!(*scheme.route(s), SourceRoute::PinnedSplit);
+        // Every S and T tuple goes to worker 0 whole.
+        assert_eq!(*scheme.route(s), SourceRoute::Pinned);
         assert_eq!(*scheme.route(t), SourceRoute::Pinned);
-        assert!(scheme.is_parallelizable());
+        assert!(!scheme.is_parallelizable());
     }
 
     #[test]
-    fn keyed_component_with_stateless_siblings_splits() {
+    fn keyed_component_with_stateless_siblings_routes_whole() {
         let mut p = PlanGraph::new();
         let s = p.add_source("S", Schema::ints(3), None).unwrap();
         let t = p.add_source("T", Schema::ints(3), None).unwrap();
@@ -915,7 +785,7 @@ mod tests {
             },
         ))
         .unwrap();
-        // ...but a purely stateless sibling query on S may round-robin.
+        // ...and a purely stateless sibling query on S rides along.
         p.add_query(&LogicalPlan::source("S").select(Predicate::attr_eq_const(1, 1i64)))
             .unwrap();
         let reports: Vec<(MopId, PartitionKeys)> = p
@@ -933,17 +803,16 @@ mod tests {
         let scheme = analyze(&p, &reports).unwrap();
         assert_eq!(scheme.components().len(), 1);
         assert_eq!(scheme.components()[0].verdict, Verdict::Keyed);
-        // S feeds both subgraphs → split; T feeds only the sequence → keyed.
-        assert_eq!(*scheme.route(s), SourceRoute::KeySplit(vec![0]));
+        // Every S tuple hashes whole, exactly like T's.
+        assert_eq!(*scheme.route(s), SourceRoute::Key(vec![0]));
         assert_eq!(*scheme.route(t), SourceRoute::Key(vec![0]));
         assert!(scheme.is_parallelizable());
-        // The stateful leg hashes exactly like a plain Key route would.
         let mut cursor = 0usize;
         let vals = [Value::Int(42), Value::Int(0), Value::Int(0)];
-        let w_split = scheme.worker_for(s, &vals, 4, &mut cursor);
-        let w_key = scheme.worker_for(t, &vals, 4, &mut cursor);
-        assert_eq!(w_split, w_key);
-        assert_eq!(cursor, 0, "split hashing must not advance the rr cursor");
+        let w_s = scheme.worker_for(s, &vals, 4, &mut cursor);
+        let w_t = scheme.worker_for(t, &vals, 4, &mut cursor);
+        assert_eq!(w_s, w_t);
+        assert_eq!(cursor, 0, "key hashing must not advance the rr cursor");
     }
 
     #[test]
@@ -970,10 +839,8 @@ mod tests {
             })
             .collect();
         let scheme = analyze(&p, &reports).unwrap();
-        assert_eq!(
-            scheme.components()[0].pin_scope,
-            Some(PinScope::WholeComponent)
-        );
+        assert_eq!(scheme.components().len(), 1);
+        assert_eq!(scheme.components()[0].verdict, Verdict::Pinned);
         assert!(!scheme.is_parallelizable());
     }
 
@@ -1170,9 +1037,9 @@ mod tests {
     #[test]
     fn reanalyze_tracks_tap_only_deltas() {
         // An opaque sequence pins S/T. A bare source tap adds/removes NO
-        // m-ops — the delta's op lists are empty — yet it flips S's route
-        // Pinned ↔ PinnedSplit. reanalyze must treat the tap change as
-        // dirtying the component, matching full analyze both ways.
+        // m-ops — the delta's op lists are empty — and changes no route:
+        // reanalyze keeps the scheme exactly as it was, matching full
+        // analyze both ways.
         let mut p = PlanGraph::new();
         let s = p.add_source("S", Schema::ints(2), None).unwrap();
         p.add_source("T", Schema::ints(2), None).unwrap();
@@ -1206,13 +1073,13 @@ mod tests {
         assert!(!delta.is_empty());
         let incremental = reanalyze(&p, &reports(&p), &scheme, &delta).unwrap();
         assert_eq!(incremental, analyze(&p, &reports(&p)).unwrap());
-        assert_eq!(*incremental.route(s), SourceRoute::PinnedSplit);
+        assert_eq!(incremental, scheme);
 
         let delta = p.remove_query(q_tap).unwrap();
         assert_eq!(delta.retapped, vec![s]);
         let back = reanalyze(&p, &reports(&p), &incremental, &delta).unwrap();
         assert_eq!(back, analyze(&p, &reports(&p)).unwrap());
-        assert_eq!(*back.route(s), SourceRoute::Pinned);
+        assert_eq!(back, scheme);
     }
 
     #[test]

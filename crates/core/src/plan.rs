@@ -176,10 +176,9 @@ pub struct PlanDelta {
     /// Sources whose *direct query taps* changed, ascending. A bare
     /// source tap (`LogicalPlan::Source` as a whole query) adds or
     /// removes no m-ops, so the three lists above can all be empty while
-    /// the routing analysis still shifts (a pinned component flips
-    /// between `Pinned` and `PinnedSplit` with the tap): the incremental
-    /// re-analysis ([`crate::partition::reanalyze`]) dirties these
-    /// sources' components too.
+    /// the plan still changed: the swapped-in runtime delivers that
+    /// source's tuples to a different set of queries. Taps never change a
+    /// source's route ([`crate::partition::reanalyze`] ignores them).
     pub retapped: Vec<SourceId>,
 }
 

@@ -6,8 +6,7 @@
 //! and execution units in the engine" (§2.1); routing between them is by
 //! channel.
 
-use std::collections::{HashMap, VecDeque};
-use std::time::Instant;
+use std::collections::HashMap;
 
 use rumor_core::{ChannelTuple, Emit, MopContext, MultiOp, PartitionKeys, PlanGraph};
 use rumor_ops::instantiate;
@@ -15,7 +14,7 @@ use rumor_types::{
     ChannelId, Membership, MopId, PortId, QueryId, Result, RumorError, SourceId, Tuple,
 };
 
-use crate::stats::{ExecStatsReport, OpCounters, OpStats, TIME_SAMPLE_EVERY};
+use crate::stats::{ExecStatsReport, OpCounters, OpStats};
 
 /// Receives query results during execution, as they are produced.
 ///
@@ -84,18 +83,6 @@ impl CountingSink {
     pub fn count(&self, query: QueryId) -> u64 {
         self.counts.get(query.index()).copied().unwrap_or(0)
     }
-
-    /// Folds another counting sink into this one (sharded workers each own
-    /// a sink; the runtime merges them at drain time).
-    pub fn merge(&mut self, other: CountingSink) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, c) in other.counts.into_iter().enumerate() {
-            self.counts[i] += c;
-        }
-        self.total += other.total;
-    }
 }
 
 impl QuerySink for CountingSink {
@@ -138,9 +125,11 @@ impl CollectingSink {
     /// deterministic global order (by timestamp, then query id — the order
     /// is independent of how results were distributed across sharded
     /// workers; the sort is stable, so same-key results keep their
-    /// per-worker arrival order, worker 0 first). Repeated folds stay
-    /// cheap: the stable sort is adaptive, and after the first fold each
-    /// call merges two already-sorted runs in near-linear time.
+    /// per-worker arrival order, worker 0 first). The worker pool folds
+    /// every worker's sink into an empty one this way, so even a single
+    /// worker's output leaves in this order. Repeated folds stay cheap:
+    /// the stable sort is adaptive, and after the first fold each call
+    /// merges two already-sorted runs in near-linear time.
     pub fn merge(&mut self, other: CollectingSink) {
         self.results.extend(other.results);
         self.results.sort_by_key(|(q, t)| (t.ts, *q));
@@ -153,29 +142,20 @@ impl QuerySink for CollectingSink {
     }
 }
 
-/// Source events per internal drain wave of
-/// [`ExecutablePlan::push_batch`]: large enough to amortize routing and
-/// dispatch over long channel runs, small enough that a wave's level
-/// buffers stay in cache.
+/// Source events per drain wave of [`ExecutablePlan::push_batch`] on a
+/// stateless plan: large enough to amortize routing and dispatch over
+/// long channel runs, small enough that a wave's level buffers stay in
+/// cache. A plan with any stateful m-op drains one source event per wave.
 const BATCH_CHUNK: usize = 1024;
 
-/// An emitted event waiting to be routed.
-type Pending = VecDeque<(ChannelId, ChannelTuple)>;
-
-struct QueueEmit<'a> {
-    pending: &'a mut Pending,
+/// A batch event as a staged source tuple.
+fn solo((source, tuple): &(SourceId, Tuple)) -> (SourceId, ChannelTuple) {
+    (*source, ChannelTuple::solo(tuple.clone()))
 }
 
-impl Emit for QueueEmit<'_> {
-    fn emit(&mut self, channel: ChannelId, tuple: Tuple, membership: Membership) {
-        self.pending
-            .push_back((channel, ChannelTuple::new(tuple, membership)));
-    }
-}
-
-/// One side of the batched drain's double buffer: parallel channel/tuple
-/// vectors, so a run of same-channel events forms a contiguous
-/// `&[ChannelTuple]` slice for [`rumor_core::MultiOp::process_batch`].
+/// One side of the drain's double buffer: parallel channel/tuple vectors,
+/// so a run of same-channel events forms a contiguous `&[ChannelTuple]`
+/// slice for [`rumor_core::MultiOp::process_batch`].
 #[derive(Debug, Default)]
 struct EventBuf {
     chans: Vec<ChannelId>,
@@ -209,28 +189,6 @@ impl Emit for BufEmit<'_> {
     }
 }
 
-/// Which subgraph of the plan a scoped push addresses.
-///
-/// Partition-parallel runtimes use scoped pushes to implement
-/// [`rumor_core::SourceRoute::PinnedSplit`]: a pinned component's source
-/// tuple is delivered twice — its *stateful cone* (every source consumer
-/// from which a stateful m-op is reachable) on worker 0, its stateless
-/// sibling subgraph on a round-robin worker. One [`ConeScope::Stateful`]
-/// push plus one [`ConeScope::Stateless`] push of the same tuple produce,
-/// together, exactly the results of one full [`ExecutablePlan::push`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConeScope {
-    /// The whole plan — identical to [`ExecutablePlan::push`].
-    Full,
-    /// Only source-channel consumers inside the stateful cone; the source
-    /// channel's own query taps are *not* delivered (the stateless leg
-    /// owns them). Derived events process normally.
-    Stateful,
-    /// Only source-channel consumers outside the stateful cone, plus the
-    /// source channel's query taps.
-    Stateless,
-}
-
 /// The compiled, executable form of a plan.
 pub struct ExecutablePlan {
     ops: Vec<Box<dyn rumor_core::MultiOp>>,
@@ -247,13 +205,6 @@ pub struct ExecutablePlan {
     op_counters: Vec<OpCounters>,
     /// channel index → (exec index, port) consumers, in topological order.
     consumers: Vec<Vec<(usize, PortId)>>,
-    /// source index → source-channel consumers inside the stateful cone
-    /// (ops from which a stateful m-op is reachable) — the
-    /// [`ConeScope::Stateful`] root set.
-    stateful_root: Vec<Vec<(usize, PortId)>>,
-    /// source index → source-channel consumers outside the stateful cone —
-    /// the [`ConeScope::Stateless`] root set.
-    free_root: Vec<Vec<(usize, PortId)>>,
     /// channel index → [(position, queries listening on that stream)].
     query_taps: Vec<Vec<(usize, Vec<QueryId>)>>,
     /// channel index → (positions-with-queries mask, queries per position if
@@ -261,23 +212,17 @@ pub struct ExecutablePlan {
     tap_masks: Vec<Option<(Membership, Option<u64>)>>,
     /// source index → its base stream's channel.
     source_channels: Vec<ChannelId>,
-    pending: Pending,
-    /// Every compiled op is stateless, so [`ExecutablePlan::push_batch`]
-    /// runs the channel-batched drain (see [`rumor_core::MultiOp::is_stateless`]);
-    /// any stateful op keeps the whole plan on the per-event drain.
+    /// Every compiled op is stateless (see
+    /// [`rumor_core::MultiOp::is_stateless`]) — the one plan-shape fact
+    /// the drain reads: a stateless plan drains [`BATCH_CHUNK`]-event
+    /// waves in runs as long as the channel allows; any stateful op makes
+    /// every wave one source event and every run one tuple.
     batch_safe: bool,
-    /// Double buffers of the batched drain, reused across calls.
+    /// Double buffers of the drain, reused across calls.
     cur: EventBuf,
     nxt: EventBuf,
     /// Total tuples pushed.
     pub events_in: u64,
-    /// One wall-time sampling decision per source event, cached at the
-    /// push entry points (every [`crate::stats::TIME_SAMPLE_EVERY`]th
-    /// event). The per-event dispatch site tests this flag instead of
-    /// re-deriving the stride from each m-op's counters, so an unsampled
-    /// event pays one register test per dispatch and no clock reads.
-    /// Always `false` under `stats-off`.
-    sample_this: bool,
 }
 
 impl ExecutablePlan {
@@ -298,9 +243,9 @@ impl ExecutablePlan {
     /// state: every m-op whose resolved context is unchanged keeps its
     /// existing instance — windows, sequence/iteration instance indexes,
     /// aggregate buckets and all — while added or rewired m-ops compile
-    /// cold and retired ones are dropped. Routing tables, the dispatch
-    /// choice, and the stateful-cone split are rebuilt from scratch for
-    /// the new plan. `events_in` carries over.
+    /// cold and retired ones are dropped. Routing tables and the dispatch
+    /// choice are rebuilt from scratch for the new plan. `events_in`
+    /// carries over.
     ///
     /// Call between pushes only (the engine fully drains every push
     /// entry point before returning, so there is never buffered work to
@@ -309,7 +254,7 @@ impl ExecutablePlan {
     /// error the engine is left exactly as it was (everything fallible
     /// runs before any state moves).
     pub fn apply_delta(&mut self, plan: &PlanGraph) -> Result<()> {
-        debug_assert!(self.pending.is_empty() && self.cur.is_empty());
+        debug_assert!(self.cur.is_empty());
         // Phase 1 — fallible, `self` untouched: resolve the new plan's
         // contexts and compile cold instances for every op that cannot
         // carry over.
@@ -358,8 +303,8 @@ impl ExecutablePlan {
         Ok(())
     }
 
-    /// Builds the routing tables, dispatch choice, and cone split around
-    /// compiled operators (`ops`/`op_ctxs` parallel to the topological
+    /// Builds the routing tables and dispatch choice around compiled
+    /// operators (`ops`/`op_ctxs` parallel to the topological
     /// `order`). Infallible: callers finish all fallible work first so
     /// hot swaps cannot leave an engine half-built.
     fn assemble(
@@ -404,54 +349,6 @@ impl ExecutablePlan {
             .map(|s| plan.channel_of(s.stream))
             .collect();
 
-        // Stateful cone (for scoped pushes, see [`ConeScope`]): an op is in
-        // the cone when it reports stateful partition keys or any op
-        // consuming one of its output channels is. Uses the same
-        // introspection (`partition_keys`) as the partitioning analysis so
-        // the engine's cone always matches the analysis' split decision.
-        let in_stateful_cone = {
-            let stateless_key: Vec<bool> = ops
-                .iter()
-                .map(|op| matches!(op.partition_keys(), PartitionKeys::Stateless))
-                .collect();
-            let mut op_outputs: Vec<Vec<ChannelId>> = vec![Vec::new(); ops.len()];
-            for &id in &order {
-                let node = plan.mop(id);
-                for m in &node.members {
-                    op_outputs[exec_index[&id]].push(plan.channel_of(m.output));
-                }
-            }
-            let mut in_cone = vec![false; ops.len()];
-            // Exec indices are topological, so a reverse scan sees every
-            // consumer before its producer.
-            for idx in (0..ops.len()).rev() {
-                let mut cone = !stateless_key[idx];
-                if !cone {
-                    'downstream: for &ch in &op_outputs[idx] {
-                        for &(cidx, _) in &consumers[ch.index()] {
-                            if in_cone[cidx] {
-                                cone = true;
-                                break 'downstream;
-                            }
-                        }
-                    }
-                }
-                in_cone[idx] = cone;
-            }
-            in_cone
-        };
-        let mut stateful_root: Vec<Vec<(usize, PortId)>> = vec![Vec::new(); source_channels.len()];
-        let mut free_root: Vec<Vec<(usize, PortId)>> = vec![Vec::new(); source_channels.len()];
-        for (si, &ch) in source_channels.iter().enumerate() {
-            for &(idx, port) in &consumers[ch.index()] {
-                if in_stateful_cone[idx] {
-                    stateful_root[si].push((idx, port));
-                } else {
-                    free_root[si].push((idx, port));
-                }
-            }
-        }
-
         let tap_masks = query_taps
             .iter()
             .map(|taps| {
@@ -476,17 +373,13 @@ impl ExecutablePlan {
             op_ids: order,
             op_ctxs,
             consumers,
-            stateful_root,
-            free_root,
             query_taps,
             tap_masks,
             source_channels,
-            pending: VecDeque::new(),
             batch_safe,
             cur: EventBuf::default(),
             nxt: EventBuf::default(),
             events_in: 0,
-            sample_this: false,
         }
     }
 
@@ -514,137 +407,18 @@ impl ExecutablePlan {
         membership: Membership,
         sink: &mut dyn QuerySink,
     ) -> Result<()> {
-        let channel = *self
-            .source_channels
-            .get(source.index())
-            .ok_or_else(|| RumorError::exec(format!("unknown source {source}")))?;
-        self.events_in += 1;
-        self.tick_sample();
-        self.pending
-            .push_back((channel, ChannelTuple::new(tuple, membership)));
-        self.drain(sink);
-        Ok(())
-    }
-
-    /// Refreshes the cached per-event sampling decision — call right
-    /// after `events_in` advances at a push entry point.
-    #[inline(always)]
-    fn tick_sample(&mut self) {
-        if crate::stats::STATS_COMPILED {
-            self.sample_this = self.events_in & (TIME_SAMPLE_EVERY - 1) == 0;
-        }
-    }
-
-    /// The one per-event dispatch site: feeds `ct` to op `idx` on `port`,
-    /// queueing its emissions on `pending`, and keeps the op's counters.
-    /// The dispatch is wall-timed iff the current source event is sampled
-    /// (see the `sample_this` field).
-    #[inline(always)]
-    fn dispatch_event(&mut self, idx: usize, port: PortId, ct: &ChannelTuple) {
-        let before = self.pending.len();
-        let t0 = (crate::stats::STATS_COMPILED && self.sample_this).then(Instant::now);
-        let mut emit = QueueEmit {
-            pending: &mut self.pending,
-        };
-        self.ops[idx].process(port, ct, &mut emit);
-        self.op_counters[idx].record_event((self.pending.len() - before) as u64);
-        self.op_counters[idx].record_time(t0, 1);
-    }
-
-    fn drain(&mut self, sink: &mut dyn QuerySink) {
-        let detailed = sink.wants_tuples();
-        while let Some((ch, ct)) = self.pending.pop_front() {
-            // Query taps first: results are observable even when further
-            // operators also consume the stream.
-            if detailed {
-                for (pos, queries) in &self.query_taps[ch.index()] {
-                    if ct.belongs_to(*pos) {
-                        sink.on_results(queries, &ct.tuple);
-                    }
-                }
-            } else if let Some((mask, uniform)) = &self.tap_masks[ch.index()] {
-                // Channel-granularity delivery: one intersection instead of
-                // a per-query fan-out.
-                let hits = ct.membership.intersect(mask);
-                if !hits.is_empty() {
-                    let n = match uniform {
-                        Some(per_pos) => hits.len() as u64 * per_pos,
-                        None => self.query_taps[ch.index()]
-                            .iter()
-                            .filter(|(p, _)| hits.contains(*p))
-                            .map(|(_, qs)| qs.len() as u64)
-                            .sum(),
-                    };
-                    sink.on_batch(n, &ct.tuple);
-                }
-            }
-            for k in 0..self.consumers[ch.index()].len() {
-                let (idx, port) = self.consumers[ch.index()][k];
-                self.dispatch_event(idx, port, &ct);
-            }
-        }
+        let staged = ChannelTuple::new(tuple, membership);
+        self.run_chunk(std::iter::once((source, staged)), sink)
     }
 
     /// Pushes one source tuple through the plan, draining all downstream
     /// work before returning. Tuples must arrive in global timestamp order.
     pub fn push(&mut self, source: SourceId, tuple: Tuple, sink: &mut dyn QuerySink) -> Result<()> {
-        let channel = *self
-            .source_channels
-            .get(source.index())
-            .ok_or_else(|| RumorError::exec(format!("unknown source {source}")))?;
-        self.events_in += 1;
-        self.tick_sample();
-        self.pending.push_back((channel, ChannelTuple::solo(tuple)));
-        self.drain(sink);
-        Ok(())
+        self.run_chunk(std::iter::once((source, ChannelTuple::solo(tuple))), sink)
     }
 
-    /// Pushes one source tuple restricted to one subgraph of the plan (see
-    /// [`ConeScope`]). `Full` is identical to [`ExecutablePlan::push`];
-    /// `Stateful` processes only source consumers inside the stateful cone
-    /// (no source-channel taps); `Stateless` delivers the source channel's
-    /// taps and processes only consumers outside the cone. Either scoped
-    /// delivery fully drains its derived cascade before returning, and the
-    /// pair of scoped deliveries reproduces one full push exactly.
-    pub fn push_cone(
-        &mut self,
-        source: SourceId,
-        tuple: Tuple,
-        scope: ConeScope,
-        sink: &mut dyn QuerySink,
-    ) -> Result<()> {
-        let channel = *self
-            .source_channels
-            .get(source.index())
-            .ok_or_else(|| RumorError::exec(format!("unknown source {source}")))?;
-        self.events_in += 1;
-        self.tick_sample();
-        let ct = ChannelTuple::solo(tuple);
-        match scope {
-            ConeScope::Full => {
-                self.pending.push_back((channel, ct));
-            }
-            ConeScope::Stateful => {
-                for k in 0..self.stateful_root[source.index()].len() {
-                    let (idx, port) = self.stateful_root[source.index()][k];
-                    self.dispatch_event(idx, port, &ct);
-                }
-            }
-            ConeScope::Stateless => {
-                let detailed = sink.wants_tuples();
-                self.deliver_taps(channel, std::slice::from_ref(&ct), detailed, sink);
-                for k in 0..self.free_root[source.index()].len() {
-                    let (idx, port) = self.free_root[source.index()][k];
-                    self.dispatch_event(idx, port, &ct);
-                }
-            }
-        }
-        self.drain(sink);
-        Ok(())
-    }
-
-    /// Whether this plan qualifies for the channel-batched fast path (all
-    /// compiled m-ops are stateless).
+    /// Whether the drain runs this plan in multi-event waves and
+    /// multi-tuple runs (all compiled m-ops are stateless).
     pub fn is_batch_safe(&self) -> bool {
         self.batch_safe
     }
@@ -690,31 +464,21 @@ impl ExecutablePlan {
     /// Pushes a timestamp-ordered slice of source events through the plan.
     ///
     /// Per-query results are identical to pushing the events one at a time
-    /// with [`ExecutablePlan::push`]. Dispatch is a static function of the
-    /// plan's shape: on fully stateless plans (see
-    /// [`ExecutablePlan::is_batch_safe`]) events are routed at *run*
-    /// granularity — consecutive same-channel events form one
+    /// with [`ExecutablePlan::push`]: both run the same drain, and only the
+    /// plan's shape sets its granularity. On a fully stateless plan (see
+    /// [`ExecutablePlan::is_batch_safe`]) a drain wave takes up to 1024
+    /// events and consecutive same-channel events form one
     /// [`rumor_core::MultiOp::process_batch`] call per consumer, amortizing
-    /// routing, dispatch, and queue bookkeeping over the run. A plan with
-    /// any stateful m-op is fed per event, in order, exactly as
-    /// [`ExecutablePlan::push`] would.
+    /// routing and dispatch over the run. A plan with any stateful m-op
+    /// drains one event per wave and one tuple per call, in order, exactly
+    /// as [`ExecutablePlan::push`] would.
     pub fn push_batch(
         &mut self,
         events: &[(SourceId, Tuple)],
         sink: &mut dyn QuerySink,
     ) -> Result<()> {
-        if self.batch_safe {
-            // Drain in bounded chunks so the level buffers stay
-            // cache-resident: one wave over the whole input would
-            // materialize every derived level in full, trading the
-            // per-event queue overhead for memory traffic.
-            for chunk in events.chunks(BATCH_CHUNK) {
-                self.run_chunk_batched(chunk.iter(), sink)?;
-            }
-            return Ok(());
-        }
-        for (source, tuple) in events {
-            self.push(*source, tuple.clone(), sink)?;
+        for chunk in events.chunks(self.wave_len()) {
+            self.run_chunk(chunk.iter().map(solo), sink)?;
         }
         Ok(())
     }
@@ -732,54 +496,55 @@ impl ExecutablePlan {
         indices: &[u32],
         sink: &mut dyn QuerySink,
     ) -> Result<()> {
+        for chunk in indices.chunks(self.wave_len()) {
+            self.run_chunk(chunk.iter().map(|&i| solo(&events[i as usize])), sink)?;
+        }
+        Ok(())
+    }
+
+    /// Source events per drain wave. Stateless plans drain in bounded
+    /// chunks so the level buffers stay cache-resident (one wave over a
+    /// whole input would materialize every derived level in full);
+    /// stateful plans take one event at a time.
+    fn wave_len(&self) -> usize {
         if self.batch_safe {
-            for chunk in indices.chunks(BATCH_CHUNK) {
-                self.run_chunk_batched(chunk.iter().map(|&i| &events[i as usize]), sink)?;
-            }
-            return Ok(());
+            BATCH_CHUNK
+        } else {
+            1
         }
-        for &i in indices {
-            let (source, tuple) = &events[i as usize];
-            self.push(*source, tuple.clone(), sink)?;
-        }
-        Ok(())
     }
 
-    /// Stages one chunk of a stateless plan and runs the batched drain.
-    /// On an unknown source, matches `push`: the valid prefix is fully
-    /// processed (drained, counted) before the error — no staged events
-    /// may leak into a later call.
-    fn run_chunk_batched<'a, I>(&mut self, chunk: I, sink: &mut dyn QuerySink) -> Result<()>
+    /// Stages one wave — what every push entry point hands over — and
+    /// drains it. On an unknown source the valid prefix is fully processed
+    /// (drained, counted) before the error, so no staged events leak into
+    /// a later call.
+    fn run_chunk<I>(&mut self, chunk: I, sink: &mut dyn QuerySink) -> Result<()>
     where
-        I: Iterator<Item = &'a (SourceId, Tuple)>,
+        I: Iterator<Item = (SourceId, ChannelTuple)>,
     {
-        let mut bad_source = None;
+        let mut staged = Ok(());
         for (source, tuple) in chunk {
-            match self.source_channels.get(source.index()) {
-                Some(&channel) => {
-                    self.cur.push(channel, ChannelTuple::solo(tuple.clone()));
-                    self.events_in += 1;
-                }
-                None => {
-                    bad_source = Some(*source);
-                    break;
-                }
-            }
+            let Some(&channel) = self.source_channels.get(source.index()) else {
+                staged = Err(RumorError::exec(format!("unknown source {source}")));
+                break;
+            };
+            self.cur.push(channel, tuple);
+            self.events_in += 1;
         }
-        self.drain_batched(sink);
-        if let Some(source) = bad_source {
-            return Err(RumorError::exec(format!("unknown source {source}")));
-        }
-        Ok(())
+        self.drain(sink);
+        staged
     }
 
-    /// Level-order batched drain of a stateless plan: consumes the whole
-    /// current buffer (runs of consecutive same-channel events feed each
-    /// consumer through one `process_batch` call), with all emissions
-    /// collected into the next buffer; then the buffers swap. Per-channel
-    /// event order is preserved, which is all stateless consumers and
-    /// query delivery observe.
-    fn drain_batched(&mut self, sink: &mut dyn QuerySink) {
+    /// The one drain: level order over the staged buffer. Each level is
+    /// cut into *runs* — consecutive same-channel tuples, at most one
+    /// tuple long unless the plan is stateless — and each run goes to the
+    /// channel's query taps, then to every consumer in topological order,
+    /// with all emissions collected into the next level; then the buffers
+    /// swap. A FIFO queue visits events in exactly this level order, so
+    /// with runs of one every m-op sees the per-event order a stateful
+    /// m-op needs; longer runs only regroup same-channel work, which
+    /// stateless consumers and query delivery cannot observe.
+    fn drain(&mut self, sink: &mut dyn QuerySink) {
         let detailed = sink.wants_tuples();
         while !self.cur.is_empty() {
             // Split the borrow: the ops read `cur` while emitting into
@@ -789,19 +554,16 @@ impl ExecutablePlan {
             while i < cur.chans.len() {
                 let ch = cur.chans[i];
                 let mut j = i + 1;
-                while j < cur.chans.len() && cur.chans[j] == ch {
-                    j += 1;
+                if self.batch_safe {
+                    while j < cur.chans.len() && cur.chans[j] == ch {
+                        j += 1;
+                    }
                 }
                 let run = &cur.tuples[i..j];
                 self.deliver_taps(ch, run, detailed, sink);
-                for &(idx, port) in &self.consumers[ch.index()] {
-                    let before = self.nxt.chans.len();
-                    let t0 = self.op_counters[idx].sample_start();
-                    let mut emit = BufEmit { buf: &mut self.nxt };
-                    self.ops[idx].process_batch(port, run, &mut emit);
-                    self.op_counters[idx]
-                        .record_batch(run.len() as u64, (self.nxt.chans.len() - before) as u64);
-                    self.op_counters[idx].record_time(t0, run.len() as u64);
+                for k in 0..self.consumers[ch.index()].len() {
+                    let (idx, port) = self.consumers[ch.index()][k];
+                    self.dispatch(idx, port, run);
                 }
                 i = j;
             }
@@ -813,8 +575,27 @@ impl ExecutablePlan {
         }
     }
 
-    /// Query-tap delivery for one run (identical per-query ordering to the
-    /// per-event drain).
+    /// The one m-op dispatch site: feeds `run` to op `idx` on `port`,
+    /// collecting its emissions into the next level, and keeps the op's
+    /// counters. A run of one is a [`MultiOp::process`] call, a longer run
+    /// one [`MultiOp::process_batch`] call.
+    #[inline(always)]
+    fn dispatch(&mut self, idx: usize, port: PortId, run: &[ChannelTuple]) {
+        let before = self.nxt.chans.len();
+        let t0 = self.op_counters[idx].sample_start();
+        let mut emit = BufEmit { buf: &mut self.nxt };
+        if let [ct] = run {
+            self.ops[idx].process(port, ct, &mut emit);
+            self.op_counters[idx].record_event((self.nxt.chans.len() - before) as u64);
+        } else {
+            self.ops[idx].process_batch(port, run, &mut emit);
+            self.op_counters[idx]
+                .record_batch(run.len() as u64, (self.nxt.chans.len() - before) as u64);
+        }
+        self.op_counters[idx].record_time(t0, run.len() as u64);
+    }
+
+    /// Query-tap delivery for one run, tuple by tuple.
     fn deliver_taps(
         &self,
         ch: ChannelId,
@@ -856,7 +637,7 @@ impl ExecutablePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rumor_core::{LogicalPlan, Optimizer, OptimizerConfig, SeqSpec};
+    use rumor_core::{JoinSpec, LogicalPlan, MopKind, Optimizer, OptimizerConfig, SeqSpec};
     use rumor_expr::{CmpOp, Expr, Predicate};
     use rumor_types::Schema;
 
@@ -960,7 +741,7 @@ mod tests {
 
     #[test]
     fn push_batch_matches_push_on_stateless_plan() {
-        // Shared selections: stateless, so the run-batched drain engages.
+        // Shared selections: stateless, so multi-tuple runs engage.
         let build = || {
             let mut plan = PlanGraph::new();
             plan.add_source("S", Schema::ints(2), None).unwrap();
@@ -1112,74 +893,76 @@ mod tests {
     }
 
     #[test]
-    fn scoped_cone_pair_reproduces_full_push() {
-        // A pinned stateful subgraph (unkeyed sequence) plus stateless
-        // sibling queries on the same source: pushing each tuple once per
-        // cone scope must reproduce the full push exactly — every source
-        // consumer processed once, source-channel taps delivered once (by
-        // the stateless leg).
+    fn stateful_plans_dispatch_runs_of_one() {
+        // One T arrival joins three buffered S tuples, so a single source
+        // event puts three tuples j1..j3 on the inner join's channel. Two
+        // selections consume that channel and feed the two ports of an
+        // outer join: y on the right port (first in topological order),
+        // x on the left. Per-event order hands the outer join y1, x1, y2,
+        // x2, y3, x3; runs of three would hand it y1, y2, y3, x1, x2, x3
+        // and reorder its output. So a stateful plan cuts every run at
+        // one tuple, under `push` and `push_batch` alike.
         let mut plan = PlanGraph::new();
         let s = plan.add_source("S", Schema::ints(2), None).unwrap();
         let t = plan.add_source("T", Schema::ints(2), None).unwrap();
-        let q_seq = plan
-            .add_query(&LogicalPlan::source("S").followed_by(
+        let inner = || {
+            LogicalPlan::source("S").join(
                 LogicalPlan::source("T"),
-                SeqSpec {
-                    predicate: Predicate::cmp(CmpOp::Lt, Expr::col(1), Expr::rcol(1)),
-                    window: 10,
+                JoinSpec {
+                    predicate: Predicate::cmp(CmpOp::Eq, Expr::col(0), Expr::rcol(0)),
+                    window: 100,
                 },
-            ))
+            )
+        };
+        let outer = JoinSpec {
+            predicate: Predicate::True,
+            window: 100,
+        };
+        let q = plan
+            .add_query(
+                &inner()
+                    .select(Predicate::True)
+                    .join(inner().select(Predicate::True), outer),
+            )
             .unwrap();
-        let q_sel = plan
-            .add_query(&LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)))
-            .unwrap();
-        // A query tapping the source stream directly (no operator at all):
-        // its results are source-channel taps, owned by the stateless leg.
-        let q_tap = plan.add_query(&LogicalPlan::source("S")).unwrap();
+        // The query built the inner join twice; merging the copies (CSE)
+        // leaves one join whose channel both selections consume.
+        let sources = [plan.source(s).stream, plan.source(t).stream];
+        let copies: Vec<MopId> = plan
+            .mops()
+            .filter(|n| n.members[0].inputs == sources)
+            .map(|n| n.id)
+            .collect();
+        let join = plan.merge_mops(&copies, MopKind::Naive).unwrap();
+        plan.validate().unwrap();
+        assert_eq!(plan.consumers_of(plan.mop(join).members[0].output).len(), 2);
 
-        let events: Vec<(SourceId, Tuple)> = (0..60u64)
-            .map(|ts| {
-                let src = if ts % 2 == 0 { s } else { t };
-                (src, Tuple::ints(ts, &[(ts % 3) as i64, (ts % 7) as i64]))
-            })
+        let events: Vec<(SourceId, Tuple)> = vec![
+            (s, Tuple::ints(0, &[7, 1])),
+            (s, Tuple::ints(1, &[7, 2])),
+            (s, Tuple::ints(2, &[7, 3])),
+            (t, Tuple::ints(3, &[7, 0])),
+        ];
+        // The per-event expectation: each outer-join arrival pairs with
+        // every earlier arrival on the other port, oldest first. Pairs are
+        // (x, y) by the S tuple each selection output carries.
+        let want: Vec<Tuple> = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3)]
+            .into_iter()
+            .chain([(3, 1), (3, 2), (3, 3)])
+            .map(|(x, y)| Tuple::ints(3, &[7, x, 7, 0, 7, y, 7, 0]))
             .collect();
 
-        let mut full = ExecutablePlan::new(&plan).unwrap();
-        let mut want = CollectingSink::default();
+        let mut exec = ExecutablePlan::new(&plan).unwrap();
+        assert!(!exec.is_batch_safe());
+        let mut pushed = CollectingSink::default();
         for (src, tu) in &events {
-            full.push(*src, tu.clone(), &mut want).unwrap();
+            exec.push(*src, tu.clone(), &mut pushed).unwrap();
         }
-
-        let mut scoped = ExecutablePlan::new(&plan).unwrap();
-        let mut got = CollectingSink::default();
-        for (src, tu) in &events {
-            scoped
-                .push_cone(*src, tu.clone(), ConeScope::Stateless, &mut got)
-                .unwrap();
-            scoped
-                .push_cone(*src, tu.clone(), ConeScope::Stateful, &mut got)
-                .unwrap();
-        }
-
-        assert!(!want.of(q_seq).is_empty());
-        assert!(!want.of(q_sel).is_empty());
-        assert!(!want.of(q_tap).is_empty());
-        for q in [q_seq, q_sel, q_tap] {
-            assert_eq!(
-                got.of(q),
-                want.of(q),
-                "query {q} diverged under scoped pushes"
-            );
-        }
-        // ConeScope::Full is push() verbatim.
-        let mut full2 = ExecutablePlan::new(&plan).unwrap();
-        let mut full2_sink = CollectingSink::default();
-        for (src, tu) in &events {
-            full2
-                .push_cone(*src, tu.clone(), ConeScope::Full, &mut full2_sink)
-                .unwrap();
-        }
-        assert_eq!(full2_sink.results, want.results);
+        let mut exec = ExecutablePlan::new(&plan).unwrap();
+        let mut batched = CollectingSink::default();
+        exec.push_batch(&events, &mut batched).unwrap();
+        assert_eq!(pushed.of(q), want.iter().collect::<Vec<_>>(), "push");
+        assert_eq!(batched.of(q), want.iter().collect::<Vec<_>>(), "push_batch");
     }
 
     #[test]
@@ -1330,9 +1113,9 @@ mod tests {
 
     #[test]
     fn stats_report_tracks_batched_dispatch_and_state() {
-        // Dispatch is a static function of plan shape: a stateful plan is
-        // fed per event even under push_batch (and keeps state the report
-        // samples); a stateless plan batch-drains.
+        // Run length is a static function of plan shape: a stateful plan
+        // runs one tuple per call even under push_batch (and keeps state
+        // the report samples); a stateless plan drains whole channel runs.
         let mut plan = PlanGraph::new();
         let s = plan.add_source("S", Schema::ints(2), None).unwrap();
         let t = plan.add_source("T", Schema::ints(2), None).unwrap();
@@ -1373,7 +1156,7 @@ mod tests {
                     .fold((0, 0), |(b, e), o| (b + o.batch_calls, e + o.event_calls))
             };
             let (batch, event) = calls(&stateful);
-            assert_eq!(batch, 0, "stateful plans never batch-dispatch");
+            assert_eq!(batch, 0, "stateful plans only run single tuples");
             assert!(event > 0);
             let seq = stateful
                 .ops
@@ -1383,7 +1166,7 @@ mod tests {
             assert_eq!(seq.events_in, 20);
             let (batch, event) = calls(&stateless);
             assert!(batch > 0);
-            assert_eq!(event, 0, "stateless plans never dispatch per event");
+            assert_eq!(event, 0, "one source channel: a single 20-tuple run");
         }
     }
 

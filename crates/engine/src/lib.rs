@@ -13,23 +13,28 @@
 //! results come back through per-query [`Subscription`]s or the
 //! [`Session::collect_all`] catch-all:
 //!
-//! * `session().build()?` — [`LocalRuntime`], the single-threaded push
-//!   engine, writing straight into the session's per-query route table.
+//! * `session().build()?` — the single-threaded push engine: one
+//!   [`ExecutablePlan`] on the caller's thread, writing straight into the
+//!   session's per-query route table.
 //! * `session().workers(n).build()?` — [`StreamingShardedRuntime`], the
 //!   persistent worker pool: long-lived workers behind bounded queues
 //!   with backpressure, fed by the static partition router
 //!   (`rumor_core::partition`): round-robin for stateless components,
 //!   hashed on consistent keys for key-partitionable ones, worker 0 for
-//!   pinned stateful subgraphs (stateless siblings still round-robin).
+//!   pinned ones. Each source tuple goes to one worker whole, stateless
+//!   sibling queries of a keyed or pinned component included.
 //!
-//! Both engines run the same [`ExecutablePlan`], whose dispatch is a
-//! static function of the plan's shape ([`ExecutablePlan::is_batch_safe`]):
-//! a fully stateless plan drains `push_batch` input at channel-run
-//! granularity; a plan with any stateful m-op is fed per event, in
-//! timestamp order, whichever entry point delivered the events.
+//! Both engines run the same [`ExecutablePlan`], and every push runs its
+//! one level-order drain through one m-op dispatch site. The drain's
+//! granularity is a static function of the plan's shape
+//! ([`ExecutablePlan::is_batch_safe`]): a fully stateless plan drains
+//! `push_batch` input in multi-event waves and channel-length runs; a
+//! plan with any stateful m-op takes one event per wave and one tuple per
+//! run — per-event order, whichever entry point delivered the events.
 //!
-//! Per-worker sinks fold deterministically at every delivery barrier
-//! ([`MergeSink`]); both engines produce identical per-query results (the
+//! Per-worker [`CollectingSink`]s fold deterministically at every
+//! delivery barrier ([`CollectingSink::merge`]: by timestamp, then
+//! query); both engines produce identical per-query results (the
 //! differential conformance harness pins this byte-for-byte). Sharding
 //! pays off when there are physical cores to spare and per-event work is
 //! nontrivial; on a single core it measures the routing overhead (see
@@ -103,11 +108,9 @@ pub mod session;
 pub mod shard;
 pub mod stats;
 
-pub use exec::{CollectingSink, ConeScope, CountingSink, DiscardSink, ExecutablePlan, QuerySink};
-pub use session::{
-    EventRuntime, LocalRuntime, Session, SessionBuilder, SessionConfig, Subscription,
-};
-pub use shard::{MergeSink, StreamingConfig, StreamingShardedRuntime};
+pub use exec::{CollectingSink, CountingSink, DiscardSink, ExecutablePlan, QuerySink};
+pub use session::{EventRuntime, Session, SessionBuilder, SessionConfig, Subscription};
+pub use shard::{StreamingConfig, StreamingShardedRuntime};
 pub use stats::{
     trace_clock_nanos, trace_json_lines, CollectingMeterSink, ExecStatsReport, FileMeterSink,
     Histogram, Meter, MeterSink, OpStats, QuerySharing, QueryStats, RuntimeStats, SharedOpRef,

@@ -31,7 +31,7 @@ use rumor_core::{
 };
 use rumor_types::{Membership, QueryId, Result, RumorError, SourceId, Tuple};
 
-use crate::exec::{CollectingSink, ExecutablePlan, QuerySink};
+use crate::exec::{ExecutablePlan, QuerySink};
 use crate::shard::{StreamingConfig, StreamingShardedRuntime};
 use crate::stats::{
     sharing_attribution, trace_json_lines, ExecStatsReport, Histogram, LatAcc, QueryStats,
@@ -40,14 +40,12 @@ use crate::stats::{
 
 /// The one execution lifecycle every RUMOR engine speaks.
 ///
-/// Implemented by [`Session`], which wraps either engine —
-/// [`LocalRuntime`] (the single-threaded push engine) or
-/// [`StreamingShardedRuntime`] (the persistent worker pool) — behind the
-/// subscription layer, and by the pool itself. (The local engine's push
-/// calls take the sink they write into, so it speaks the same lifecycle
-/// through inherent methods.) Generic drivers (the conformance harness,
-/// the throughput bench) are written once against this trait and run
-/// unchanged over every engine.
+/// Implemented by [`Session`], which wraps either engine — the
+/// single-threaded push engine (an [`ExecutablePlan`] driven on the
+/// caller's thread) or [`StreamingShardedRuntime`] (the persistent
+/// worker pool) — behind the subscription layer, and by the pool itself.
+/// Generic drivers (the conformance harness, the throughput bench) are
+/// written once against this trait and run unchanged over every engine.
 ///
 /// Lifecycle contract, identical across implementations:
 ///
@@ -99,101 +97,6 @@ pub trait EventRuntime {
     fn update_plan(&mut self, plan: &PlanGraph) -> Result<()>;
 }
 
-/// The single-threaded engine: an [`ExecutablePlan`] and its lifecycle.
-/// This is the engine a [`Session`] runs when the builder's worker count
-/// is omitted — and the reference semantics every parallel engine must
-/// reproduce.
-///
-/// It owns no sink: every push call writes into the one it is handed, so
-/// a [`Session`] passes its per-query router and each result is routed
-/// once, at the tap. Lifecycle errors match [`EventRuntime`]'s: after
-/// [`LocalRuntime::finish`] every call returns [`RumorError::Finished`].
-pub struct LocalRuntime {
-    exec: ExecutablePlan,
-    finished: bool,
-}
-
-impl LocalRuntime {
-    /// Compiles `plan` into a single-threaded runtime.
-    pub fn new(plan: &PlanGraph) -> Result<Self> {
-        Ok(LocalRuntime {
-            exec: ExecutablePlan::new(plan)?,
-            finished: false,
-        })
-    }
-
-    fn ensure_live(&self, op: &str) -> Result<()> {
-        if self.finished {
-            return Err(RumorError::finished(op));
-        }
-        Ok(())
-    }
-
-    /// Source events accepted so far.
-    pub fn events_in(&self) -> u64 {
-        self.exec.events_in
-    }
-
-    /// The executor's per-m-op counters.
-    pub fn stats_report(&self) -> ExecStatsReport {
-        self.exec.stats_report()
-    }
-
-    /// Processes one source tuple, writing its results into `sink`.
-    #[inline]
-    pub fn push(&mut self, source: SourceId, tuple: Tuple, sink: &mut dyn QuerySink) -> Result<()> {
-        self.ensure_live("push")?;
-        self.exec.push(source, tuple, sink)
-    }
-
-    /// Processes a timestamp-ordered event slice, writing its results
-    /// into `sink`.
-    #[inline]
-    pub fn push_batch(
-        &mut self,
-        events: &[(SourceId, Tuple)],
-        sink: &mut dyn QuerySink,
-    ) -> Result<()> {
-        self.ensure_live("push_batch")?;
-        self.exec.push_batch(events, sink)
-    }
-
-    /// Pushes one channel tuple on a channel-group source (Workload 3's
-    /// input shape): `membership` says which of the group's streams the
-    /// tuple belongs to. Channel input is a single-threaded capability —
-    /// the partition router has no channel routes.
-    pub fn push_channel(
-        &mut self,
-        source: SourceId,
-        tuple: Tuple,
-        membership: Membership,
-        sink: &mut dyn QuerySink,
-    ) -> Result<()> {
-        self.ensure_live("push_channel")?;
-        self.exec.push_channel(source, tuple, membership, sink)
-    }
-
-    /// The barrier: the engine drains every push inline, so it is
-    /// trivially satisfied — only the liveness check remains.
-    pub fn flush(&self) -> Result<()> {
-        self.ensure_live("flush")
-    }
-
-    /// Ends the lifecycle.
-    pub fn finish(&mut self) -> Result<()> {
-        self.ensure_live("finish")?;
-        self.finished = true;
-        Ok(())
-    }
-
-    /// Hot-swaps onto a mutated plan graph, carrying the state of every
-    /// operator the change does not touch.
-    pub fn update_plan(&mut self, plan: &PlanGraph) -> Result<()> {
-        self.ensure_live("update_plan")?;
-        self.exec.apply_delta(plan)
-    }
-}
-
 // ----------------------------------------------------------------------
 // The session builder.
 // ----------------------------------------------------------------------
@@ -231,21 +134,22 @@ pub struct SessionConfig {
 /// unbounded buffering. The shared plan is cloned per worker and tuples
 /// are routed by the static partitioning analysis (round-robin for
 /// stateless components, hashed on consistent keys for key-partitionable
-/// ones, worker 0 for pinned stateful subgraphs); results are identical
-/// across both engines.
+/// ones, worker 0 for pinned ones); a stateless query on the source of a
+/// keyed or pinned component goes wherever that source's tuples go.
+/// Results are identical across both engines.
 ///
-/// **Batched input.** How a batch is dispatched is a static function of
-/// the compiled plan's shape, decided once at compile / `update_plan`
-/// time: a plan whose every m-op is stateless runs
-/// [`EventRuntime::push_batch`] (and `push_batch_shared`) through the
-/// channel-batched drain — one [`rumor_core::MultiOp::process_batch`]
-/// call per run of same-channel events; a plan with any stateful m-op
-/// feeds the batch per event, in order, exactly as repeated
-/// [`EventRuntime::push`] calls would. Results never depend on which
-/// entry point delivered the events. Keyed and pinned schemes ship
-/// batches to workers as index lists into one shared allocation instead
-/// of per-worker tuple copies, so the pool's routing cost does not scale
-/// with tuple width.
+/// **Batched input.** Every entry point runs the executor's one drain,
+/// whose granularity is a static function of the compiled plan's shape,
+/// decided once at compile / `update_plan` time: a plan whose every m-op
+/// is stateless runs [`EventRuntime::push_batch`] (and
+/// `push_batch_shared`) in waves of many events, one
+/// [`rumor_core::MultiOp::process_batch`] call per run of same-channel
+/// events; a plan with any stateful m-op takes one event and one tuple at
+/// a time, in order, exactly as repeated [`EventRuntime::push`] calls
+/// would. Results never depend on which entry point delivered the events.
+/// Keyed and pinned schemes ship batches to workers as index lists into
+/// one shared allocation instead of per-worker tuple copies, so the
+/// pool's routing cost does not scale with tuple width.
 ///
 /// **Observability.** Every session keeps always-on runtime counters:
 /// [`Session::stats`] returns a [`StatsSnapshot`] (per-m-op dispatch
@@ -324,7 +228,10 @@ impl<'a> SessionBuilder<'a> {
                         "streaming(cfg) requires workers(n)".to_string(),
                     ));
                 }
-                Backend::Local(Box::new(LocalRuntime::new(self.plan)?))
+                Backend::Local {
+                    exec: Box::new(ExecutablePlan::new(self.plan)?),
+                    finished: false,
+                }
             }
             Some(n) => {
                 let cfg = self.config.streaming.unwrap_or_default();
@@ -604,26 +511,31 @@ impl Iterator for Subscription {
 }
 
 enum Backend {
-    /// Boxed: the single-threaded runtime embeds the whole executable
-    /// plan. The session passes it its [`Delivery`] router as the sink.
-    Local(Box<LocalRuntime>),
+    /// The single-threaded engine, run on the caller's thread: the
+    /// executor (boxed: it embeds the whole compiled plan) and whether
+    /// [`EventRuntime::finish`] ended its lifecycle. The session passes
+    /// the executor its [`Delivery`] router as the sink.
+    Local {
+        exec: Box<ExecutablePlan>,
+        finished: bool,
+    },
     /// Boxed too: the pool carries routing state, staging buffers, and a
     /// flight-recorder ring.
-    Streaming(Box<StreamingShardedRuntime<CollectingSink>>),
+    Streaming(Box<StreamingShardedRuntime>),
 }
 
 impl Backend {
     /// Barrier on a *live* engine — the mid-stream delivery point.
     /// Returns the pool's merged output since the last barrier (worker 0
-    /// first, then `(ts, query)`-normalized by `MergeSink::finalize`);
-    /// the local engine routes inline, so it returns nothing. Returns the
-    /// typed [`RumorError::Finished`] after `finish`, like every other
-    /// lifecycle call.
+    /// first, in `(ts, query)` order); the local engine routes inline, so
+    /// it returns nothing. Returns the typed [`RumorError::Finished`]
+    /// after `finish`, like every other lifecycle call.
     fn barrier(&mut self) -> Result<Vec<(QueryId, Tuple)>> {
         match self {
-            // `flush` doubles as the liveness check on the engine whose
+            // The liveness check is all there is on the engine whose
             // barrier is free.
-            Backend::Local(rt) => rt.flush().map(|()| Vec::new()),
+            Backend::Local { finished: true, .. } => Err(RumorError::finished("flush")),
+            Backend::Local { .. } => Ok(Vec::new()),
             // The streaming sink handoff is itself a drain barrier (queue
             // FIFO + blocking recv) — one cross-worker round-trip; a
             // separate flush here would pay a second one.
@@ -754,7 +666,7 @@ impl Session {
     /// Source events accepted so far.
     pub fn events_in(&self) -> u64 {
         match &self.backend {
-            Backend::Local(rt) => rt.events_in(),
+            Backend::Local { exec, .. } => exec.events_in,
             Backend::Streaming(rt) => rt.events_in(),
         }
     }
@@ -762,7 +674,7 @@ impl Session {
     /// Worker count of the underlying engine (1 for single-threaded).
     pub fn workers(&self) -> usize {
         match &self.backend {
-            Backend::Local(_) => 1,
+            Backend::Local { .. } => 1,
             Backend::Streaming(rt) => rt.workers(),
         }
     }
@@ -771,7 +683,7 @@ impl Session {
     /// single-threaded session, which routes nothing.
     pub fn scheme(&self) -> Option<&PartitionScheme> {
         match &self.backend {
-            Backend::Local(_) => None,
+            Backend::Local { .. } => None,
             Backend::Streaming(rt) => Some(rt.scheme()),
         }
     }
@@ -785,12 +697,18 @@ impl Session {
         tuple: Tuple,
         membership: Membership,
     ) -> Result<()> {
-        let Backend::Local(rt) = &mut self.backend else {
-            return Err(RumorError::exec(
-                "channel input requires a single-threaded session (omit workers)".to_string(),
-            ));
+        let exec = match &mut self.backend {
+            Backend::Local { finished: true, .. } => {
+                return Err(RumorError::finished("push_channel"))
+            }
+            Backend::Local { exec, .. } => exec,
+            Backend::Streaming(_) => {
+                return Err(RumorError::exec(
+                    "channel input requires a single-threaded session (omit workers)".to_string(),
+                ))
+            }
         };
-        let res = rt.push_channel(source, tuple, membership, &mut self.delivery);
+        let res = exec.push_channel(source, tuple, membership, &mut self.delivery);
         self.delivery.hand_over(&mut self.ingest_mark);
         res
     }
@@ -819,7 +737,7 @@ impl Session {
     /// [`StatsSnapshot::to_json`].
     pub fn stats(&mut self) -> Result<StatsSnapshot> {
         let (engine, report): (&'static str, ExecStatsReport) = match &mut self.backend {
-            Backend::Local(rt) => ("local", rt.stats_report()),
+            Backend::Local { exec, .. } => ("local", exec.stats_report()),
             Backend::Streaming(rt) => ("streaming", rt.exec_stats()?),
         };
         let runtime = RuntimeStats {
@@ -1066,31 +984,31 @@ impl EventRuntime for Session {
             }
             self.push_count += 1;
         }
-        let rt = match &mut self.backend {
-            Backend::Local(rt) => rt,
+        let exec = match &mut self.backend {
+            Backend::Local { finished: true, .. } => return Err(RumorError::finished("push")),
+            Backend::Local { exec, .. } => exec,
             Backend::Streaming(rt) => return rt.push(source, tuple),
         };
         // Hand over even on error: what the call produced is delivered.
-        let res = rt.push(source, tuple, &mut self.delivery);
+        let res = exec.push(source, tuple, &mut self.delivery);
         self.delivery.hand_over(&mut self.ingest_mark);
         res
     }
 
     fn push_batch(&mut self, events: &[(SourceId, Tuple)]) -> Result<()> {
         mark_ingest(&mut self.ingest_mark);
-        let rt = match &mut self.backend {
-            Backend::Local(rt) => rt,
+        let exec = match &mut self.backend {
+            Backend::Local { finished: true, .. } => {
+                return Err(RumorError::finished("push_batch"))
+            }
+            Backend::Local { exec, .. } => exec,
             Backend::Streaming(rt) => return rt.push_batch(events),
         };
-        if events.is_empty() {
-            // No slice to hand over, but still the liveness check.
-            return rt.push_batch(events, &mut self.delivery);
-        }
         // One delivery point per slice: results reach subscribers every
         // LOCAL_DELIVERY_CHUNK events, while the slice is still
         // cache-resident, and `pending` never holds more than one slice.
         for chunk in events.chunks(LOCAL_DELIVERY_CHUNK) {
-            let res = rt.push_batch(chunk, &mut self.delivery);
+            let res = exec.push_batch(chunk, &mut self.delivery);
             self.delivery.hand_over(&mut self.ingest_mark);
             res?;
         }
@@ -1099,7 +1017,7 @@ impl EventRuntime for Session {
 
     fn push_batch_shared(&mut self, events: Arc<Vec<(SourceId, Tuple)>>) -> Result<()> {
         match &mut self.backend {
-            Backend::Local(_) => self.push_batch(&events),
+            Backend::Local { .. } => self.push_batch(&events),
             Backend::Streaming(rt) => {
                 mark_ingest(&mut self.ingest_mark);
                 rt.push_batch_shared(events)
@@ -1123,7 +1041,11 @@ impl EventRuntime for Session {
     fn finish(&mut self) -> Result<()> {
         let t = Instant::now();
         let results = match &mut self.backend {
-            Backend::Local(rt) => rt.finish().map(|()| Vec::new())?,
+            Backend::Local { finished: true, .. } => return Err(RumorError::finished("finish")),
+            Backend::Local { finished, .. } => {
+                *finished = true;
+                Vec::new()
+            }
             Backend::Streaming(rt) => {
                 rt.finish()?;
                 rt.take_final_sink().results
@@ -1143,7 +1065,8 @@ impl EventRuntime for Session {
             );
         }
         let swapped = match &mut self.backend {
-            Backend::Local(rt) => rt.update_plan(plan),
+            Backend::Local { finished: true, .. } => Err(RumorError::finished("update_plan")),
+            Backend::Local { exec, .. } => exec.apply_delta(plan),
             Backend::Streaming(rt) => rt.update_plan(plan),
         };
         if let Err(e) = swapped {

@@ -14,15 +14,19 @@
 //!   group members) lands on the same worker;
 //! * tuples of **pinned** components all go to worker 0.
 //!
-//! Each worker owns a full [`ExecutablePlan`] clone plus its own sink, fed
-//! over a bounded queue; barriers and shutdown fold the per-worker sinks
-//! into one deterministic result ([`MergeSink`]).
+//! Each worker owns a full [`ExecutablePlan`] clone plus its own
+//! [`CollectingSink`], fed over a bounded queue; barriers and shutdown
+//! fold the per-worker sinks into one deterministic result
+//! ([`CollectingSink::merge`]: by timestamp, then query id).
 //!
 //! Within one worker the routed sub-stream preserves global timestamp
 //! order (routing never reorders), so each clone sees a valid input and
 //! per-query results across workers form exactly the multiset the
-//! single-threaded engine produces. For fully pinned plans the runtime
-//! degenerates to the single-threaded engine on worker 0.
+//! single-threaded engine produces. Every tuple of a source goes to one
+//! worker whole: stateless sibling queries of a keyed or pinned component
+//! ride along with the stateful part (their results do not depend on
+//! placement). For fully pinned plans the runtime degenerates to the
+//! single-threaded engine on worker 0.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -35,100 +39,23 @@ use rumor_core::{
 };
 use rumor_types::{MopId, Result, RumorError, SourceId, Tuple};
 
-use crate::exec::{
-    CollectingSink, ConeScope, CountingSink, DiscardSink, ExecutablePlan, QuerySink,
-};
+use crate::exec::{CollectingSink, ExecutablePlan};
 use crate::session::EventRuntime;
 use crate::stats::{ExecStatsReport, TraceEvent, TraceRing};
 
-/// A sink sharded workers can each own privately and fold deterministically
-/// at drain time.
-pub trait MergeSink: QuerySink + Send {
-    /// Folds `other` into `self`. Implementations must be associative and
-    /// produce an order that does not depend on how results were
-    /// distributed across workers (e.g. [`CollectingSink`] re-sorts by
-    /// timestamp, then query id).
-    fn merge(&mut self, other: Self)
-    where
-        Self: Sized;
-
-    /// Called exactly once after every worker sink has been folded in —
-    /// including the single-worker case, where [`MergeSink::merge`] never
-    /// runs. Implementations whose canonical order is established by
-    /// merging (again, [`CollectingSink`]) normalize here so `n = 1`
-    /// results obey the same contract as `n > 1`.
-    fn finalize(&mut self) {}
-}
-
-impl MergeSink for CountingSink {
-    fn merge(&mut self, other: Self) {
-        CountingSink::merge(self, other);
-    }
-}
-
-impl MergeSink for CollectingSink {
-    fn merge(&mut self, other: Self) {
-        CollectingSink::merge(self, other);
-    }
-
-    fn finalize(&mut self) {
-        // A single worker's results arrive in engine order (the batched
-        // drain delivers level by level), not in the merged contract
-        // order.
-        self.results.sort_by_key(|(q, t)| (t.ts, *q));
-    }
-}
-
-impl MergeSink for DiscardSink {
-    fn merge(&mut self, _other: Self) {}
-}
-
-/// One routed delivery: where a tuple goes and how much of the plan it
-/// addresses there ([`ConeScope::Full`] for every route except the two
-/// legs of a split route).
-enum Routed {
-    One(usize),
-    /// Split delivery: the stateful cone runs on `stateful` (worker 0 for
-    /// [`SourceRoute::PinnedSplit`], the hashed worker for
-    /// [`SourceRoute::KeySplit`]); the stateless sibling subgraph
-    /// round-robins to `free`.
-    Split {
-        free: usize,
-        stateful: usize,
-    },
-}
-
 /// The single routing step: resolves one source tuple against the
-/// scheme, advancing the source's round-robin cursor (split routes
-/// advance it for their stateless leg).
+/// scheme to its worker, advancing the source's round-robin cursor.
 fn route_event(
     scheme: &PartitionScheme,
     rr_cursors: &mut [usize],
     n: usize,
     source: SourceId,
     tuple: &Tuple,
-) -> Result<Routed> {
+) -> Result<usize> {
     let cursor = rr_cursors
         .get_mut(source.index())
         .ok_or_else(|| RumorError::exec(format!("unknown source {source}")))?;
-    if matches!(
-        scheme.route(source),
-        SourceRoute::PinnedSplit | SourceRoute::KeySplit(_)
-    ) {
-        let free = *cursor % n;
-        *cursor = (*cursor + 1) % n;
-        // `worker_for` resolves the stateful leg of a split route without
-        // touching the cursor (worker 0 when pinned, the key hash when
-        // keyed — identical to the hash a plain `Key` route would use).
-        let stateful = scheme.worker_for(source, tuple.values(), n, cursor);
-        return Ok(Routed::Split { free, stateful });
-    }
-    Ok(Routed::One(scheme.worker_for(
-        source,
-        tuple.values(),
-        n,
-        cursor,
-    )))
+    Ok(scheme.worker_for(source, tuple.values(), n, cursor))
 }
 
 /// The `w`-th of `n` contiguous segments of a length-`len` slice — the
@@ -197,14 +124,12 @@ fn prepare_swap(
 /// a keyed component becoming pinned, a pinned one becoming keyed) would
 /// separate new tuples from the state their partners accumulated, so such
 /// a swap is refused — the caller must rebuild the pool instead. Safe
-/// transitions: an unchanged route; a previously *stateless* component
+/// transitions: an unchanged route (adding or removing a stateless
+/// sibling query never changes one); a previously *stateless* component
 /// picking up its first stateful consumer (the new operator starts cold
-/// everywhere, so any routing is as good as any other); a component
-/// relaxing *to* stateless (no state left to mis-route); and the split
-/// flips `Pinned ↔ PinnedSplit` and `Key ↔ KeySplit` *with equal key
-/// attributes* (the stateful cone stays on worker 0 / the identical hash
-/// either way — only the stateless sibling leg, which holds no state,
-/// changes delivery). Returns the first offending source.
+/// everywhere, so any routing is as good as any other); and a component
+/// relaxing *to* stateless (no state left to mis-route). Returns the
+/// first offending source.
 fn reroute_conflict(old: &PartitionScheme, new: &PartitionScheme) -> Option<SourceId> {
     let verdicts = |s: &PartitionScheme| -> Vec<Option<Verdict>> {
         let mut v = vec![None; s.routes().len()];
@@ -217,66 +142,19 @@ fn reroute_conflict(old: &PartitionScheme, new: &PartitionScheme) -> Option<Sour
     };
     let old_v = verdicts(old);
     let new_v = verdicts(new);
-    let pinnedish = |r: &SourceRoute| matches!(r, SourceRoute::Pinned | SourceRoute::PinnedSplit);
-    fn keyedish(r: &SourceRoute) -> Option<&[usize]> {
-        match r {
-            SourceRoute::Key(attrs) | SourceRoute::KeySplit(attrs) => Some(attrs),
-            _ => None,
-        }
-    }
     for (i, new_route) in new.routes().iter().enumerate() {
         let Some(old_route) = old.routes().get(i) else {
             continue; // source added by the swap: no history to honor
         };
-        if old_route == new_route || (pinnedish(old_route) && pinnedish(new_route)) {
-            continue;
-        }
-        if let (Some(a), Some(b)) = (keyedish(old_route), keyedish(new_route)) {
-            if a == b {
-                continue; // same hash for the stateful leg either way
-            }
-        }
-        if old_v[i] == Some(Verdict::Stateless) || new_v[i] == Some(Verdict::Stateless) {
+        if old_route == new_route
+            || old_v[i] == Some(Verdict::Stateless)
+            || new_v[i] == Some(Verdict::Stateless)
+        {
             continue;
         }
         return Some(SourceId::from_index(i));
     }
     None
-}
-
-/// Processes a run of scope-tagged deliveries on one worker. Deliveries
-/// are `(scope, index)` pairs into one shared `events` slice — the worker
-/// never receives cloned tuples, only selections of the batch the caller
-/// already owns. Consecutive full-scope deliveries are regrouped (via
-/// `scratch`) into one [`ExecutablePlan::push_batch_indexed`] call; scoped
-/// legs of a split route go through [`ExecutablePlan::push_cone`] per
-/// event (the tuple clone there is a refcount bump).
-fn process_tagged<S: MergeSink>(
-    exec: &mut ExecutablePlan,
-    sink: &mut S,
-    events: &[(SourceId, Tuple)],
-    items: &[(ConeScope, u32)],
-    scratch: &mut Vec<u32>,
-) -> Result<()> {
-    let mut i = 0;
-    while i < items.len() {
-        if items[i].0 == ConeScope::Full {
-            scratch.clear();
-            let mut j = i;
-            while j < items.len() && items[j].0 == ConeScope::Full {
-                scratch.push(items[j].1);
-                j += 1;
-            }
-            exec.push_batch_indexed(events, scratch, sink)?;
-            i = j;
-        } else {
-            let (scope, idx) = items[i];
-            let (source, tuple) = &events[idx as usize];
-            exec.push_cone(*source, tuple.clone(), scope, sink)?;
-            i += 1;
-        }
-    }
-    Ok(())
 }
 
 // ----------------------------------------------------------------------
@@ -306,24 +184,23 @@ impl Default for StreamingConfig {
     }
 }
 
-/// One unit of work inside a worker message. Full-scope deliveries are
-/// staged as ready-made event runs so the worker feeds them straight into
+/// One unit of work inside a worker message. Per-event pushes are staged
+/// as ready-made event runs so the worker feeds them straight into
 /// [`ExecutablePlan::push_batch`] — no per-event regrouping or second
-/// clone on the worker side; scoped legs of a split route travel
-/// individually. Shared-batch segments
+/// clone on the worker side. Shared-batch segments
 /// ([`StreamingShardedRuntime::push_batch_shared`]) carry a range of one
 /// refcounted input allocation — the zero-copy stateless path — while
-/// keyed, pinned, and split schemes ship scope-tagged index selections of
-/// that same allocation ([`Delivery::SharedTagged`]): one refcount bump
-/// per worker instead of one tuple clone per event.
+/// keyed and pinned schemes ship index selections of that same
+/// allocation ([`Delivery::SharedIndexed`]) into
+/// [`ExecutablePlan::push_batch_indexed`]: one refcount bump per worker
+/// instead of one tuple clone per event.
 enum Delivery {
     Run(Vec<(SourceId, Tuple)>),
     Shared(Arc<Vec<(SourceId, Tuple)>>, std::ops::Range<usize>),
-    SharedTagged(Arc<Vec<(SourceId, Tuple)>>, Vec<(ConeScope, u32)>),
-    Cone(ConeScope, SourceId, Tuple),
+    SharedIndexed(Arc<Vec<(SourceId, Tuple)>>, Vec<u32>),
 }
 
-enum WorkerMsg<S> {
+enum WorkerMsg {
     Batch(Vec<Delivery>),
     /// Barrier: publish the generation once every previously sent message
     /// is processed (see [`FlushGate`]).
@@ -337,7 +214,7 @@ enum WorkerMsg<S> {
     /// ships everything its sink accumulated back over the enclosed
     /// channel and continues with a fresh default sink. Queue FIFO means
     /// every previously sent delivery is reflected in the shipped sink.
-    Drain(Sender<S>),
+    Drain(Sender<CollectingSink>),
     /// Mid-stream stats handoff: the worker ships a snapshot of its
     /// executor's per-op counters. Like [`WorkerMsg::Drain`], queue FIFO
     /// makes the reply reflect every previously sent delivery.
@@ -414,8 +291,8 @@ impl Drop for GateGuard {
     }
 }
 
-struct WorkerOutcome<S> {
-    sink: S,
+struct WorkerOutcome {
+    sink: CollectingSink,
     events_in: u64,
     /// Final per-op counters, folded into the pool's stored report at
     /// shutdown so [`StreamingShardedRuntime::exec_stats`] keeps working
@@ -424,15 +301,14 @@ struct WorkerOutcome<S> {
     error: Option<RumorError>,
 }
 
-fn worker_loop<S: MergeSink + Default>(
+fn worker_loop(
     mut exec: ExecutablePlan,
-    rx: Receiver<WorkerMsg<S>>,
+    rx: Receiver<WorkerMsg>,
     gate: Arc<FlushGate>,
-) -> WorkerOutcome<S> {
+) -> WorkerOutcome {
     let _guard = GateGuard(Arc::clone(&gate));
-    let mut sink = S::default();
+    let mut sink = CollectingSink::default();
     let mut error: Option<RumorError> = None;
-    let mut scratch: Vec<u32> = Vec::new();
     while let Ok(msg) = rx.recv() {
         match msg {
             WorkerMsg::Batch(deliveries) => {
@@ -448,11 +324,8 @@ fn worker_loop<S: MergeSink + Default>(
                         Delivery::Shared(events, range) => {
                             exec.push_batch(&events[range.clone()], &mut sink)
                         }
-                        Delivery::SharedTagged(events, items) => {
-                            process_tagged(&mut exec, &mut sink, events, items, &mut scratch)
-                        }
-                        Delivery::Cone(scope, source, tuple) => {
-                            exec.push_cone(*source, tuple.clone(), *scope, &mut sink)
+                        Delivery::SharedIndexed(events, indices) => {
+                            exec.push_batch_indexed(events, indices, &mut sink)
                         }
                     };
                     if let Err(e) = outcome {
@@ -515,8 +388,8 @@ impl Staged {
         }
     }
 
-    /// Appends one full-scope event, growing the trailing run.
-    fn push_full(&mut self, source: SourceId, tuple: Tuple) {
+    /// Appends one event, growing the trailing run.
+    fn push(&mut self, source: SourceId, tuple: Tuple) {
         match self.items.last_mut() {
             Some(Delivery::Run(run)) => run.push((source, tuple)),
             _ => {
@@ -527,18 +400,13 @@ impl Staged {
         }
         self.events += 1;
     }
-
-    fn push_cone(&mut self, scope: ConeScope, source: SourceId, tuple: Tuple) {
-        self.items.push(Delivery::Cone(scope, source, tuple));
-        self.events += 1;
-    }
 }
 
 /// The persistent streaming shard pool: `n` long-lived workers, each
-/// owning a full [`ExecutablePlan`] clone and a private sink, fed over
-/// bounded channels by the static partition router. Workers are spawned
-/// once at construction and stream deliveries for the pool's whole
-/// lifetime:
+/// owning a full [`ExecutablePlan`] clone and a private
+/// [`CollectingSink`], fed over bounded channels by the static partition
+/// router. Workers are spawned once at construction and stream
+/// deliveries for the pool's whole lifetime:
 ///
 /// * [`StreamingShardedRuntime::push`] /
 ///   [`StreamingShardedRuntime::push_batch`] /
@@ -553,15 +421,15 @@ impl Staged {
 ///   a shutdown. Flushing an empty or idle runtime is a no-op.
 /// * [`StreamingShardedRuntime::finish`] flushes, shuts the pool down,
 ///   joins the workers, and folds their sinks deterministically (worker 0
-///   first, then [`MergeSink::finalize`]). Calling it again returns an
-///   empty default sink instead of panicking.
+///   first, into `(ts, query)` order — [`CollectingSink::merge`]).
+///   Calling it again returns [`RumorError::Finished`].
 ///
 /// Per-worker delivery order equals global arrival order restricted to
 /// that worker (routing never reorders, queues are FIFO), so per-query
 /// results are exactly those of the single-threaded engine.
-pub struct StreamingShardedRuntime<S: MergeSink + Default + Send + 'static> {
-    txs: Vec<Sender<WorkerMsg<S>>>,
-    handles: Vec<JoinHandle<WorkerOutcome<S>>>,
+pub struct StreamingShardedRuntime {
+    txs: Vec<Sender<WorkerMsg>>,
+    handles: Vec<JoinHandle<WorkerOutcome>>,
     /// Per-worker barrier gates (generation-counter acknowledgement).
     gates: Vec<Arc<FlushGate>>,
     /// Last barrier generation issued.
@@ -582,7 +450,7 @@ pub struct StreamingShardedRuntime<S: MergeSink + Default + Send + 'static> {
     accepted: u64,
     finished: bool,
     /// The merged results of the shutdown pool, until drained.
-    final_sink: Option<S>,
+    final_sink: Option<CollectingSink>,
     /// Deliveries processed per worker, recorded when the pool shuts down.
     worker_events: Vec<u64>,
     /// Folded per-op counters of the shutdown pool, so stats stay readable
@@ -601,7 +469,7 @@ pub struct StreamingShardedRuntime<S: MergeSink + Default + Send + 'static> {
     trace: TraceRing,
 }
 
-impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
+impl StreamingShardedRuntime {
     /// Spawns `n` persistent workers (n ≥ 1) with default tuning.
     pub fn new(plan: &PlanGraph, n: usize) -> Result<Self> {
         Self::with_config(plan, n, StreamingConfig::default())
@@ -631,11 +499,11 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
         let mut handles = Vec::with_capacity(n);
         let mut gates = Vec::with_capacity(n);
         for exec in execs {
-            let (tx, rx) = bounded::<WorkerMsg<S>>(queue_depth);
+            let (tx, rx) = bounded::<WorkerMsg>(queue_depth);
             let gate = Arc::new(FlushGate::new());
             txs.push(tx);
             gates.push(Arc::clone(&gate));
-            handles.push(std::thread::spawn(move || worker_loop::<S>(exec, rx, gate)));
+            handles.push(std::thread::spawn(move || worker_loop(exec, rx, gate)));
         }
         Ok(StreamingShardedRuntime {
             txs,
@@ -677,7 +545,7 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
         self.scheme.is_parallelizable()
     }
 
-    /// Source events accepted so far (a split delivery counts once).
+    /// Source events accepted so far.
     pub fn events_in(&self) -> u64 {
         self.accepted
     }
@@ -687,12 +555,9 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
         self.finished
     }
 
-    /// Deliveries processed per worker — the load-balance metric. Only
-    /// known once the pool has shut down: empty before
-    /// [`StreamingShardedRuntime::finish`]. Under a split scheme the
-    /// per-worker counts sum to more than
-    /// [`StreamingShardedRuntime::events_in`]: both legs of a split
-    /// delivery count.
+    /// Events processed per worker — the load-balance metric; they sum to
+    /// [`StreamingShardedRuntime::events_in`]. Only known once the pool
+    /// has shut down: empty before [`StreamingShardedRuntime::finish`].
     pub fn worker_events(&self) -> &[u64] {
         &self.worker_events
     }
@@ -751,22 +616,8 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
         Ok(())
     }
 
-    fn stage_full(&mut self, w: usize, source: SourceId, tuple: Tuple) -> Result<()> {
-        self.staged[w].push_full(source, tuple);
-        if self.staged[w].events >= self.batch_size {
-            self.dispatch(w)?;
-        }
-        Ok(())
-    }
-
-    fn stage_cone(
-        &mut self,
-        w: usize,
-        scope: ConeScope,
-        source: SourceId,
-        tuple: Tuple,
-    ) -> Result<()> {
-        self.staged[w].push_cone(scope, source, tuple);
+    fn stage(&mut self, w: usize, source: SourceId, tuple: Tuple) -> Result<()> {
+        self.staged[w].push(source, tuple);
         if self.staged[w].events >= self.batch_size {
             self.dispatch(w)?;
         }
@@ -805,7 +656,7 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
         }
     }
 
-    fn route(&mut self, source: SourceId, tuple: &Tuple) -> Result<Routed> {
+    fn route(&mut self, source: SourceId, tuple: &Tuple) -> Result<usize> {
         route_event(
             &self.scheme,
             &mut self.rr_cursors,
@@ -821,13 +672,8 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
     /// target worker's queue is full.
     pub fn push(&mut self, source: SourceId, tuple: Tuple) -> Result<()> {
         self.ensure_live("push")?;
-        match self.route(source, &tuple)? {
-            Routed::One(w) => self.stage_full(w, source, tuple)?,
-            Routed::Split { free, stateful } => {
-                self.stage_cone(free, ConeScope::Stateless, source, tuple.clone())?;
-                self.stage_cone(stateful, ConeScope::Stateful, source, tuple)?;
-            }
-        }
+        let w = self.route(source, &tuple)?;
+        self.stage(w, source, tuple)?;
         self.accepted += 1;
         Ok(())
     }
@@ -875,15 +721,8 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
             }
         } else {
             for (source, tuple) in events {
-                match self.route(*source, tuple)? {
-                    Routed::One(w) => {
-                        self.stage_full(w, *source, tuple.clone())?;
-                    }
-                    Routed::Split { free, stateful } => {
-                        self.stage_cone(free, ConeScope::Stateless, *source, tuple.clone())?;
-                        self.stage_cone(stateful, ConeScope::Stateful, *source, tuple.clone())?;
-                    }
-                }
+                let w = self.route(*source, tuple)?;
+                self.stage(w, *source, tuple.clone())?;
             }
         }
         self.accepted += events.len() as u64;
@@ -895,11 +734,11 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
     /// happens anywhere. Fully stateless schemes ship each worker a
     /// *range* of that one allocation — the zero-copy equivalent of
     /// [`StreamingShardedRuntime::push_batch`]'s contiguous-segment path.
-    /// Keyed, pinned, and split schemes route per event but ship each worker a
-    /// scope-tagged *index selection* of the same shared allocation
-    /// (`Delivery::SharedTagged`): one refcount bump per delivery
-    /// message instead of one tuple clone per event, and the worker feeds
-    /// its selection through [`ExecutablePlan::push_batch_indexed`]. Prefer this entry point
+    /// Keyed and pinned schemes route per event but ship each worker an
+    /// *index selection* of the same shared allocation: one refcount bump
+    /// per delivery message instead of one tuple clone per event, and the
+    /// worker feeds its selection through
+    /// [`ExecutablePlan::push_batch_indexed`]. Prefer this entry point
     /// whenever the batch is already an owned allocation.
     pub fn push_batch_shared(&mut self, events: Arc<Vec<(SourceId, Tuple)>>) -> Result<()> {
         self.ensure_live("push_batch_shared")?;
@@ -936,25 +775,20 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
             // One worker: the whole batch is its segment.
             return self.push_batch_validated(&events);
         }
-        // Keyed / pinned / split scheme: per-event routing, zero-copy
-        // delivery. Route the whole batch into per-worker tagged index
-        // lists first, then stage them in batch-size slices.
-        let mut idx_lists: Vec<Vec<(ConeScope, u32)>> = vec![Vec::new(); n];
+        // Keyed / pinned scheme: per-event routing, zero-copy delivery.
+        // Route the whole batch into per-worker index lists first, then
+        // stage them in batch-size slices.
+        let mut idx_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (i, (source, tuple)) in events.iter().enumerate() {
-            match self.route(*source, tuple)? {
-                Routed::One(w) => idx_lists[w].push((ConeScope::Full, i as u32)),
-                Routed::Split { free, stateful } => {
-                    idx_lists[free].push((ConeScope::Stateless, i as u32));
-                    idx_lists[stateful].push((ConeScope::Stateful, i as u32));
-                }
-            }
+            let w = self.route(*source, tuple)?;
+            idx_lists[w].push(i as u32);
         }
         for (w, list) in idx_lists.into_iter().enumerate() {
             for chunk in list.chunks(self.batch_size) {
                 let staged = &mut self.staged[w];
                 staged
                     .items
-                    .push(Delivery::SharedTagged(events.clone(), chunk.to_vec()));
+                    .push(Delivery::SharedIndexed(events.clone(), chunk.to_vec()));
                 staged.events += chunk.len();
                 if staged.events >= self.batch_size {
                     self.dispatch(w)?;
@@ -980,30 +814,32 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
     }
 
     /// Takes and merges everything the worker sinks accumulated since the
-    /// last drain (worker 0 first, then [`MergeSink::finalize`]), leaving
-    /// fresh default sinks on the workers — the pool keeps running. On a
-    /// finished pool, returns the merged final results (once; empty
-    /// afterwards).
+    /// last drain, leaving fresh sinks on the workers — the pool keeps
+    /// running. Worker sinks fold into an empty one, worker 0 first, with
+    /// [`CollectingSink::merge`], so the result is in `(ts, query)` order
+    /// at every worker count (a single worker's own order is level by
+    /// level, not this one). On a finished pool, returns the merged final
+    /// results (once; empty afterwards).
     ///
     /// The sink handoff is itself a drain barrier: queue FIFO means a
     /// worker ships its sink only after processing every delivery sent
     /// before the `Drain` message, and the blocking `recv` waits for
     /// exactly that — one cross-worker round-trip total, no separate
     /// generation barrier.
-    pub fn drain_sink(&mut self) -> Result<S> {
+    pub fn drain_sink(&mut self) -> Result<CollectingSink> {
         if self.finished {
-            return Ok(self.final_sink.take().unwrap_or_default());
+            return Ok(self.take_final_sink());
         }
         let mut handoffs = Vec::with_capacity(self.txs.len());
         for w in 0..self.txs.len() {
             self.dispatch(w)?;
-            let (stx, srx) = bounded::<S>(1);
+            let (stx, srx) = bounded::<CollectingSink>(1);
             self.txs[w]
                 .send(WorkerMsg::Drain(stx))
                 .map_err(|_| RumorError::exec(format!("streaming shard worker {w} died")))?;
             handoffs.push(srx);
         }
-        let mut acc: Option<S> = None;
+        let mut merged = CollectingSink::default();
         for (w, srx) in handoffs.into_iter().enumerate() {
             let sink = srx
                 .recv()
@@ -1016,21 +852,16 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
                     "streaming shard worker {w} failed: {msg}"
                 )));
             }
-            match &mut acc {
-                None => acc = Some(sink),
-                Some(into) => into.merge(sink),
-            }
+            merged.merge(sink);
         }
-        let mut sink = acc.ok_or_else(|| RumorError::exec("no worker sinks".to_string()))?;
-        sink.finalize();
-        Ok(sink)
+        Ok(merged)
     }
 
     /// Takes the merged final results of a finished pool (empty when
     /// already taken or never finished) — the post-`finish` counterpart
     /// of [`StreamingShardedRuntime::drain_sink`] for callers that track
     /// the lifecycle themselves.
-    pub fn take_final_sink(&mut self) -> S {
+    pub fn take_final_sink(&mut self) -> CollectingSink {
         self.final_sink.take().unwrap_or_default()
     }
 
@@ -1115,9 +946,10 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
     }
 
     /// Shuts the pool down: dispatches staged deliveries, joins every
-    /// worker, and folds the per-worker sinks (worker 0 first) into the
-    /// final, finalized sink. Worker errors (or panics) surface here.
-    fn shutdown(&mut self) -> Result<S> {
+    /// worker, and folds the per-worker sinks (worker 0 first, like
+    /// [`StreamingShardedRuntime::drain_sink`]) into the final sink.
+    /// Worker errors (or panics) surface here.
+    fn shutdown(&mut self) -> Result<()> {
         self.finished = true;
         for w in 0..self.txs.len() {
             self.dispatch(w)?;
@@ -1125,7 +957,7 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
         // Dropping the senders disconnects the queues; workers exit after
         // draining them.
         self.txs.clear();
-        let mut acc: Option<S> = None;
+        let mut merged = CollectingSink::default();
         let mut first_error: Option<RumorError> = None;
         let mut final_exec = ExecStatsReport::default();
         for (w, handle) in self.handles.drain(..).enumerate() {
@@ -1136,10 +968,7 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
                     }
                     self.worker_events.push(outcome.events_in);
                     final_exec.absorb(&outcome.stats);
-                    match &mut acc {
-                        None => acc = Some(outcome.sink),
-                        Some(sink) => sink.merge(outcome.sink),
-                    }
+                    merged.merge(outcome.sink);
                 }
                 Err(_) => {
                     if first_error.is_none() {
@@ -1154,13 +983,12 @@ impl<S: MergeSink + Default + Send + 'static> StreamingShardedRuntime<S> {
         if let Some(e) = first_error {
             return Err(e);
         }
-        let mut sink = acc.ok_or_else(|| RumorError::exec("no worker sinks".to_string()))?;
-        sink.finalize();
-        Ok(sink)
+        self.final_sink = Some(merged);
+        Ok(())
     }
 }
 
-impl<S: MergeSink + Default + Send + 'static> EventRuntime for StreamingShardedRuntime<S> {
+impl EventRuntime for StreamingShardedRuntime {
     fn push(&mut self, source: SourceId, tuple: Tuple) -> Result<()> {
         StreamingShardedRuntime::push(self, source, tuple)
     }
@@ -1179,9 +1007,7 @@ impl<S: MergeSink + Default + Send + 'static> EventRuntime for StreamingShardedR
 
     fn finish(&mut self) -> Result<()> {
         self.ensure_live("finish")?;
-        let sink = self.shutdown()?;
-        self.final_sink = Some(sink);
-        Ok(())
+        self.shutdown()
     }
 
     fn update_plan(&mut self, plan: &PlanGraph) -> Result<()> {
@@ -1189,7 +1015,7 @@ impl<S: MergeSink + Default + Send + 'static> EventRuntime for StreamingShardedR
     }
 }
 
-impl<S: MergeSink + Default + Send + 'static> Drop for StreamingShardedRuntime<S> {
+impl Drop for StreamingShardedRuntime {
     fn drop(&mut self) {
         // Disconnect and reap the workers so no thread outlives the pool;
         // staged-but-undispatched deliveries are discarded (results were
@@ -1204,6 +1030,7 @@ impl<S: MergeSink + Default + Send + 'static> Drop for StreamingShardedRuntime<S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::QuerySink;
     use rumor_core::{LogicalPlan, Optimizer, OptimizerConfig, SeqSpec, SourceRoute, Verdict};
     use rumor_expr::{CmpOp, Expr, Predicate};
     use rumor_types::{QueryId, Schema};
@@ -1242,7 +1069,7 @@ mod tests {
         sink
     }
 
-    fn pool(plan: &PlanGraph, n: usize) -> StreamingShardedRuntime<CollectingSink> {
+    fn pool(plan: &PlanGraph, n: usize) -> StreamingShardedRuntime {
         StreamingShardedRuntime::new(plan, n).unwrap()
     }
 
@@ -1354,10 +1181,10 @@ mod tests {
 
     #[test]
     fn single_worker_results_obey_merge_order() {
-        // With n = 1 no merge runs; finalize must still establish the
-        // (ts, query) contract order, which the batched drain's level
-        // order (every source-channel tap of a chunk, then every
-        // selection result) breaks.
+        // With n = 1 the fold into an empty sink must still establish the
+        // (ts, query) contract order, which the drain's level order
+        // (every source-channel tap of a chunk, then every selection
+        // result) breaks.
         let (plan, _) = optimized(&[
             LogicalPlan::source("S"),
             LogicalPlan::source("S").select(Predicate::True),
@@ -1390,16 +1217,15 @@ mod tests {
         let events = interleaved(&plan, 120);
         let want = reference(&plan, &events);
         for n in [1usize, 2, 4] {
-            let mut rt: StreamingShardedRuntime<CollectingSink> =
-                StreamingShardedRuntime::with_config(
-                    &plan,
-                    n,
-                    StreamingConfig {
-                        batch_size: 7,
-                        queue_depth: 2,
-                    },
-                )
-                .unwrap();
+            let mut rt = StreamingShardedRuntime::with_config(
+                &plan,
+                n,
+                StreamingConfig {
+                    batch_size: 7,
+                    queue_depth: 2,
+                },
+            )
+            .unwrap();
             rt.push_batch(&events).unwrap();
             assert_eq!(rt.events_in(), 120);
             let got = rt.drain_sink().unwrap();
@@ -1431,16 +1257,15 @@ mod tests {
             let (plan, qs) = optimized(&queries);
             let events = interleaved(&plan, 100);
             let want = reference(&plan, &events);
-            let mut rt: StreamingShardedRuntime<CollectingSink> =
-                StreamingShardedRuntime::with_config(
-                    &plan,
-                    3,
-                    StreamingConfig {
-                        batch_size: 16,
-                        queue_depth: 2,
-                    },
-                )
-                .unwrap();
+            let mut rt = StreamingShardedRuntime::with_config(
+                &plan,
+                3,
+                StreamingConfig {
+                    batch_size: 16,
+                    queue_depth: 2,
+                },
+            )
+            .unwrap();
             // Mix the shared entry point with staged per-event pushes to
             // check ordering across delivery kinds.
             rt.push_batch_shared(Arc::new(events[..40].to_vec()))
@@ -1472,7 +1297,7 @@ mod tests {
         ]);
         let events = interleaved(&plan, 90);
         let want = reference(&plan, &events);
-        let mut rt: StreamingShardedRuntime<CollectingSink> = StreamingShardedRuntime::with_config(
+        let mut rt = StreamingShardedRuntime::with_config(
             &plan,
             3,
             StreamingConfig {
@@ -1501,8 +1326,7 @@ mod tests {
     #[test]
     fn flush_on_empty_runtime_is_a_noop_and_finish_misuse_is_typed() {
         let (plan, _) = optimized(&[LogicalPlan::source("S").select(Predicate::True)]);
-        let mut rt: StreamingShardedRuntime<CollectingSink> =
-            StreamingShardedRuntime::new(&plan, 2).unwrap();
+        let mut rt = StreamingShardedRuntime::new(&plan, 2).unwrap();
         // Nothing pushed yet: flush must return cleanly, repeatedly.
         rt.flush().unwrap();
         rt.flush().unwrap();
@@ -1535,7 +1359,7 @@ mod tests {
             optimized(&[LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64))]);
         let events = interleaved(&plan, 80);
         let want = reference(&plan, &events);
-        let mut rt: StreamingShardedRuntime<CollectingSink> = StreamingShardedRuntime::with_config(
+        let mut rt = StreamingShardedRuntime::with_config(
             &plan,
             3,
             StreamingConfig {
@@ -1559,8 +1383,7 @@ mod tests {
     #[test]
     fn streaming_unknown_source_fails_before_staging() {
         let (plan, _) = optimized(&[LogicalPlan::source("S").select(Predicate::True)]);
-        let mut rt: StreamingShardedRuntime<CountingSink> =
-            StreamingShardedRuntime::new(&plan, 2).unwrap();
+        let mut rt = StreamingShardedRuntime::new(&plan, 2).unwrap();
         let s = plan.source_by_name("S").unwrap().id;
         let events = vec![
             (s, Tuple::ints(0, &[1, 0, 0])),
@@ -1569,7 +1392,7 @@ mod tests {
         assert!(rt.push_batch(&events).is_err());
         assert_eq!(rt.events_in(), 0);
         assert!(rt.push(SourceId(9), Tuple::ints(2, &[1, 0, 0])).is_err());
-        assert_eq!(rt.drain_sink().unwrap().total, 0);
+        assert_eq!(rt.drain_sink().unwrap().results.len(), 0);
     }
 
     #[test]
@@ -1578,7 +1401,7 @@ mod tests {
         // than error or drop, and every event must come out the other end.
         let (plan, _) = optimized(&[LogicalPlan::source("S").select(Predicate::True)]);
         let events = interleaved(&plan, 500);
-        let mut rt: StreamingShardedRuntime<CountingSink> = StreamingShardedRuntime::with_config(
+        let mut rt = StreamingShardedRuntime::with_config(
             &plan,
             2,
             StreamingConfig {
@@ -1590,44 +1413,56 @@ mod tests {
         rt.push_batch(&events).unwrap();
         let got = rt.drain_sink().unwrap();
         // Every S event (even ts) passes the TRUE-selection.
-        assert_eq!(got.total, 250);
+        assert_eq!(got.results.len(), 250);
+    }
+
+    /// The S;T sequence of a pinned (`Lt`) or keyed (`Eq`) component, the
+    /// route both its sources take, and a stateless sibling select on S.
+    fn seq_with_sibling(keyed: bool) -> (Vec<LogicalPlan>, SourceRoute) {
+        let (op, col, route) = if keyed {
+            (CmpOp::Eq, 0, SourceRoute::Key(vec![0]))
+        } else {
+            (CmpOp::Lt, 2, SourceRoute::Pinned)
+        };
+        let seq = LogicalPlan::source("S").followed_by(
+            LogicalPlan::source("T"),
+            SeqSpec {
+                predicate: Predicate::cmp(op, Expr::col(col), Expr::rcol(col)),
+                window: 50,
+            },
+        );
+        let sibling = LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64));
+        (vec![seq, sibling], route)
     }
 
     #[test]
-    fn pinned_split_routes_stateless_siblings_across_workers() {
-        // An unkeyed sequence pins the S/T component, but the stateless
-        // select on S must still round-robin: worker 0 gets every tuple's
-        // stateful leg, the stateless legs spread across all workers.
-        let (plan, qs) = optimized(&[
-            LogicalPlan::source("S").followed_by(
-                LogicalPlan::source("T"),
-                SeqSpec {
-                    predicate: Predicate::cmp(CmpOp::Lt, Expr::col(2), Expr::rcol(2)),
-                    window: 10,
-                },
-            ),
-            LogicalPlan::source("S").select(Predicate::True),
-        ]);
-        let events = interleaved(&plan, 80);
-        let want = reference(&plan, &events);
-        let s = plan.source_by_name("S").unwrap().id;
-        let t = plan.source_by_name("T").unwrap().id;
-        for n in [2usize, 4] {
-            let mut rt = pool(&plan, n);
-            assert_eq!(*rt.scheme().route(s), SourceRoute::PinnedSplit);
-            assert_eq!(*rt.scheme().route(t), SourceRoute::Pinned);
-            assert!(rt.is_parallelizable());
-            rt.push_batch(&events).unwrap();
-            assert_eq!(rt.events_in(), 80, "split deliveries must count once");
-            EventRuntime::finish(&mut rt).unwrap();
-            let per_worker = rt.worker_events();
-            assert!(
-                per_worker[1..].iter().any(|&e| e > 0),
-                "stateless legs must leave worker 0: {per_worker:?}"
-            );
-            let got = rt.drain_sink().unwrap();
-            for &q in &qs {
-                assert_eq!(sorted_of(&got, q), sorted_of(&want, q), "n={n}");
+    fn pools_with_stateless_siblings_route_every_tuple_whole() {
+        // The stateless select on S rides along with the sequence: a
+        // pinned component sends every tuple to worker 0, a keyed one
+        // hashes every tuple, and each tuple is delivered exactly once.
+        for keyed in [false, true] {
+            let (queries, route) = seq_with_sibling(keyed);
+            let (plan, qs) = optimized(&queries);
+            let events = interleaved(&plan, 80);
+            let want = reference(&plan, &events);
+            let s = plan.source_by_name("S").unwrap().id;
+            let t = plan.source_by_name("T").unwrap().id;
+            for n in [2usize, 4] {
+                let mut rt = pool(&plan, n);
+                assert_eq!(*rt.scheme().route(s), route);
+                assert_eq!(*rt.scheme().route(t), route);
+                assert_eq!(rt.is_parallelizable(), keyed);
+                rt.push_batch(&events).unwrap();
+                EventRuntime::finish(&mut rt).unwrap();
+                let per_worker = rt.worker_events();
+                assert_eq!(per_worker.iter().sum::<u64>(), 80, "{route:?} n={n}");
+                if !keyed {
+                    assert_eq!(per_worker[0], 80, "pinned: all on worker 0");
+                }
+                let got = rt.drain_sink().unwrap();
+                for &q in &qs {
+                    assert_eq!(sorted_of(&got, q), sorted_of(&want, q), "{route:?} n={n}");
+                }
             }
         }
     }
@@ -1662,7 +1497,7 @@ mod tests {
         let original = plan.clone();
         let events = interleaved(&plan, 180);
 
-        let mut rt: StreamingShardedRuntime<CollectingSink> = StreamingShardedRuntime::with_config(
+        let mut rt = StreamingShardedRuntime::with_config(
             &plan,
             3,
             StreamingConfig {
@@ -1703,42 +1538,54 @@ mod tests {
     }
 
     #[test]
-    fn update_plan_hot_swaps_a_pinned_split_pool() {
-        // The streaming test above swaps a keyed scheme; this one swaps a
-        // pinned-split scheme (unkeyed sequence + stateless sibling) and
-        // checks the surviving queries against the per-event reference.
-        use rumor_core::Optimizer as Opt;
-        let (mut plan, qs) = optimized(&[
-            LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)),
-            LogicalPlan::source("S").followed_by(
-                LogicalPlan::source("T"),
-                SeqSpec {
-                    predicate: Predicate::cmp(CmpOp::Eq, Expr::col(1), Expr::rcol(1)),
-                    window: 50,
-                },
-            ),
-        ]);
-        let original = plan.clone();
-        let events = interleaved(&plan, 120);
-        let mut rt = pool(&plan, 3);
-        rt.push_batch(&events[..60]).unwrap();
-        let optimizer = Opt::new(OptimizerConfig::default());
-        let added = optimizer
-            .integrate(
-                &mut plan,
-                &LogicalPlan::source("T").select(Predicate::attr_eq_const(0, 3i64)),
-            )
-            .unwrap();
-        rt.update_plan(&plan).unwrap();
-        rt.push_batch(&events[60..]).unwrap();
-        let got = rt.drain_sink().unwrap();
-        let want = reference(&original, &events);
-        for &q in &qs {
-            assert_eq!(sorted_of(&got, q), sorted_of(&want, q));
+    fn update_plan_hot_swaps_pinned_and_keyed_pools_with_siblings() {
+        // A live stateless select on S — the lifecycle shape of the keyed
+        // aggregate workload — leaves the pinned or keyed route of S as it
+        // was, so the swap is accepted and the pool's results equal one
+        // executor run through the same lifecycle.
+        let agg = |window| {
+            LogicalPlan::source("S").aggregate(rumor_core::AggSpec {
+                func: rumor_core::AggFunc::Sum,
+                input: Expr::col(2),
+                group_by: vec![0],
+                window,
+            })
+        };
+        for (queries, route) in [
+            seq_with_sibling(false),
+            seq_with_sibling(true),
+            (vec![agg(10), agg(25)], SourceRoute::Key(vec![0])),
+        ] {
+            let (mut plan, _) = optimized(&queries);
+            let s = plan.source_by_name("S").unwrap().id;
+            let events = interleaved(&plan, 120);
+            let mut rt = pool(&plan, 3);
+            let mut one = ExecutablePlan::new(&plan).unwrap();
+            let mut want = CollectingSink::default();
+            assert_eq!(*rt.scheme().route(s), route);
+            rt.push_batch(&events[..60]).unwrap();
+            for (src, tu) in &events[..60] {
+                one.push(*src, tu.clone(), &mut want).unwrap();
+            }
+            let added = Optimizer::new(OptimizerConfig::default())
+                .integrate(
+                    &mut plan,
+                    &LogicalPlan::source("S").select(Predicate::attr_eq_const(1, 2i64)),
+                )
+                .unwrap();
+            rt.update_plan(&plan).unwrap();
+            one.apply_delta(&plan).unwrap();
+            assert_eq!(*rt.scheme().route(s), route, "the sibling changes no route");
+            rt.push_batch(&events[60..]).unwrap();
+            for (src, tu) in &events[60..] {
+                one.push(*src, tu.clone(), &mut want).unwrap();
+            }
+            let got = rt.drain_sink().unwrap();
+            assert!(!got.of(added.query).is_empty());
+            for &(q, _) in plan.query_outputs() {
+                assert_eq!(sorted_of(&got, q), sorted_of(&want, q), "{route:?} {q}");
+            }
         }
-        let mid: Vec<&Tuple> = got.of(added.query);
-        assert!(mid.iter().all(|tu| tu.ts >= 60));
-        assert!(!mid.is_empty());
     }
 
     #[test]
@@ -1768,8 +1615,7 @@ mod tests {
             .optimize(&mut plan)
             .unwrap();
         let events = interleaved(&plan, 60);
-        let mut rt: StreamingShardedRuntime<CollectingSink> =
-            StreamingShardedRuntime::new(&plan, 2).unwrap();
+        let mut rt = StreamingShardedRuntime::new(&plan, 2).unwrap();
         rt.push_batch(&events).unwrap();
         let optimizer = Opt::new(OptimizerConfig::default());
         let added = optimizer
@@ -1811,19 +1657,6 @@ mod tests {
         // The pool survives it all and still finishes cleanly.
         rt.flush().unwrap();
         EventRuntime::finish(&mut rt).unwrap();
-    }
-
-    #[test]
-    fn counting_sink_merge_folds_counts() {
-        let mut a = CountingSink::default();
-        a.on_result(QueryId(0), &Tuple::ints(0, &[1]));
-        let mut b = CountingSink::default();
-        b.on_result(QueryId(0), &Tuple::ints(1, &[1]));
-        b.on_result(QueryId(2), &Tuple::ints(1, &[1]));
-        a.merge(b);
-        assert_eq!(a.count(QueryId(0)), 2);
-        assert_eq!(a.count(QueryId(2)), 1);
-        assert_eq!(a.total, 3);
     }
 
     #[test]

@@ -396,17 +396,18 @@ pub fn trace_json_lines(events: &[TraceEvent]) -> String {
 // Per-op counters.
 // ----------------------------------------------------------------------
 
-/// Raw per-operator counters owned by one executor, bumped inline at the
-/// dispatch sites. All updates compile to nothing under `stats-off`.
+/// Raw per-operator counters owned by one executor, bumped inline at its
+/// one dispatch site. All updates compile to nothing under `stats-off`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounters {
     /// Events fed into the operator (per-event calls + batched run lengths).
     pub events_in: u64,
     /// Events the operator emitted downstream.
     pub events_out: u64,
-    /// Batched invocations (`process_batch`).
+    /// Invocations on a run of two or more tuples (`process_batch`).
     pub batch_calls: u64,
-    /// Per-event invocations (`process`).
+    /// Invocations on a run of one tuple (`process`) — every call on a
+    /// plan with a stateful m-op, and single-tuple runs on a stateless one.
     pub event_calls: u64,
     /// Wall nanoseconds accumulated by *sampled* dispatches (one in
     /// [`TIME_SAMPLE_EVERY`]).
@@ -419,8 +420,8 @@ pub struct OpCounters {
 }
 
 impl OpCounters {
-    /// Records one per-event `process` invocation that emitted `emitted`
-    /// events.
+    /// Records one `process` invocation (a run of one) that emitted
+    /// `emitted` events.
     #[inline(always)]
     pub fn record_event(&mut self, emitted: u64) {
         #[cfg(not(feature = "stats-off"))]
@@ -489,9 +490,9 @@ pub struct OpStats {
     pub events_in: u64,
     /// Events emitted.
     pub events_out: u64,
-    /// Batched invocations.
+    /// Invocations on runs of two or more tuples.
     pub batch_calls: u64,
-    /// Per-event invocations.
+    /// Invocations on runs of one tuple.
     pub event_calls: u64,
     /// Resident state (live NFA instances, buffered join tuples, window
     /// occupancy + group count) sampled at snapshot time; 0 for

@@ -78,14 +78,15 @@
 //!   backpressure; tuples are routed by the static partitioning analysis
 //!   ([`rumor_core::partition::analyze`]) — round-robin for stateless
 //!   components, hashed on consistent keys for key-partitionable ones,
-//!   worker 0 for the stateful subgraph of pinned ones. Tune with
-//!   [`SessionBuilder::streaming`] ([`StreamingConfig`]).
+//!   worker 0 for pinned ones; each tuple goes to one worker whole. Tune
+//!   with [`SessionBuilder::streaming`] ([`StreamingConfig`]).
 //!
-//! Both engines run the same compiled plan, and how it is walked is a
-//! static function of its shape: a plan whose every m-op is stateless
-//! drains [`EventRuntime::push_batch`] input at channel-run granularity;
-//! a plan with any stateful m-op is fed per event, in timestamp order,
-//! whichever entry point delivered the events.
+//! Both engines run the same compiled plan through one drain, whose
+//! granularity is a static function of the plan's shape: a plan whose
+//! every m-op is stateless drains [`EventRuntime::push_batch`] input at
+//! channel-run granularity; a plan with any stateful m-op runs one event
+//! and one tuple at a time, in timestamp order, whichever entry point
+//! delivered the events.
 //!
 //! See the [`SessionBuilder`] docs for when to pick which engine.
 //! Subscriptions are delivered at *delivery points* — immediately for
@@ -279,16 +280,16 @@ pub use rumor_cayuga::{Automaton, CayugaEngine};
 pub use rumor_core::{
     estimate_cost, estimate_cost_with, AggFunc, AggSpec, ChannelTuple, Integration, IterSpec,
     JoinSpec, LogicalPlan, MopCost, MopKind, OpDef, Optimizer, OptimizerConfig, PartitionKeys,
-    PartitionScheme, PinScope, PlanCost, PlanDelta, PlanGraph, RewriteTrace, SearchStrategy,
+    PartitionScheme, PlanCost, PlanDelta, PlanGraph, RewriteTrace, SearchStrategy,
     SelectivityModel, SeqSpec, SourceRoute, Verdict,
 };
 pub use rumor_engine::{
-    trace_clock_nanos, trace_json_lines, CollectingMeterSink, CollectingSink, ConeScope,
-    CountingSink, DiscardSink, EventRuntime, ExecStatsReport, ExecutablePlan, FileMeterSink,
-    Histogram, LocalRuntime, MergeSink, Meter, MeterSink, OpStats, QuerySharing, QuerySink,
-    QueryStats, Rumor, RuntimeStats, Session, SessionBuilder, SessionConfig, SharedOpRef,
-    StatsSnapshot, StderrMeterSink, StreamingConfig, StreamingShardedRuntime, Subscription,
-    TraceEvent, TraceRing, STATS_COMPILED, TIME_SAMPLE_EVERY,
+    trace_clock_nanos, trace_json_lines, CollectingMeterSink, CollectingSink, CountingSink,
+    DiscardSink, EventRuntime, ExecStatsReport, ExecutablePlan, FileMeterSink, Histogram, Meter,
+    MeterSink, OpStats, QuerySharing, QuerySink, QueryStats, Rumor, RuntimeStats, Session,
+    SessionBuilder, SessionConfig, SharedOpRef, StatsSnapshot, StderrMeterSink, StreamingConfig,
+    StreamingShardedRuntime, Subscription, TraceEvent, TraceRing, STATS_COMPILED,
+    TIME_SAMPLE_EVERY,
 };
 pub use rumor_expr::{CmpOp, EvalCtx, Expr, NamedExpr, Predicate, SchemaMap};
 pub use rumor_types::{

@@ -14,7 +14,7 @@
 //!   including the zero-copy shared batch and chunked feeds with flush
 //!   barriers);
 //! * **workloads** — every partitioning verdict (stateless, keyed,
-//!   pinned, pinned-with-stateless-siblings) plus edge inputs (empty,
+//!   pinned, keyed and pinned with stateless siblings) plus edge inputs (empty,
 //!   single event, timestamp ties);
 //! * **oracle** — results are canonicalized to a `(timestamp, query,
 //!   rendered tuple)`-sorted vector, a total order, so every mode must
@@ -40,9 +40,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use rumor::{
-    AggFunc, AggSpec, EventRuntime, IterSpec, LogicalPlan, OptimizerConfig, PinScope, Predicate,
-    QueryId, Rumor, Schema, SessionConfig, SourceRoute, StreamingConfig, Subscription, Tuple,
-    Verdict,
+    AggFunc, AggSpec, EventRuntime, IterSpec, LogicalPlan, OptimizerConfig, Predicate, QueryId,
+    Rumor, Schema, SessionConfig, SourceRoute, StreamingConfig, Subscription, Tuple, Verdict,
 };
 use rumor_expr::{CmpOp, Expr, NamedExpr, SchemaMap};
 use rumor_types::SourceId;
@@ -484,7 +483,7 @@ fn aggregate(group_by: Vec<usize>, window: u64) -> LogicalPlan {
 type Workload = (&'static str, Rumor, Vec<QueryId>, Vec<(SourceId, Tuple)>);
 
 /// The deterministic workload table: every partitioning verdict, the
-/// pinned-split shape, a mixed plan, and edge inputs.
+/// sibling shapes, a mixed plan, and edge inputs.
 fn workload_table() -> Vec<Workload> {
     let mut table = Vec::new();
 
@@ -530,27 +529,26 @@ fn workload_table() -> Vec<Workload> {
     let events = interleaved(&srcs, 160);
     table.push(("unkeyed_sequence_pinned", engine, qids, events));
 
-    // The pinned-split shape: a pinned stateful subgraph plus stateless
-    // sibling queries (and a direct source tap) on the same source.
+    // A pinned stateful subgraph plus stateless sibling queries (and a
+    // direct source tap) on the same source: the siblings run on worker 0
+    // with it.
     let (engine, srcs, qids) = optimized(&[
         unkeyed_seq(10),
         LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)),
         LogicalPlan::source("S"),
     ]);
     let events = interleaved(&srcs, 160);
-    table.push(("pinned_split_mixed", engine, qids, events));
+    table.push(("pinned_with_siblings", engine, qids, events));
 
-    // The keyed-split shape: a keyed stateful cone plus stateless sibling
-    // queries (and a direct source tap) on the same source — S hashes its
-    // stateful leg while the stateless subgraph round-robins
-    // (`SourceRoute::KeySplit`).
+    // The keyed counterpart: every S tuple hashes on its key, siblings
+    // included.
     let (engine, srcs, qids) = optimized(&[
         equi_seq(14),
         LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)),
         LogicalPlan::source("S"),
     ]);
     let events = interleaved(&srcs, 200);
-    table.push(("keyed_split_mixed", engine, qids, events));
+    table.push(("keyed_with_siblings", engine, qids, events));
 
     // All verdicts in one plan.
     let (engine, srcs, qids) = optimized(&[
@@ -747,103 +745,54 @@ fn cost_based_search_conforms_across_modes() {
     );
 }
 
-/// The split verdict itself is part of the contract: the mixed pinned
-/// workload must report a stateful-subgraph pin and still produce
-/// identical results at every worker count — observed through the
-/// session's scheme accessor.
+/// Stateless sibling queries (a selection and a direct source tap) ride
+/// along with a pinned or keyed stateful part: both sources keep the
+/// plain `Pinned` / `Key` route of their component, and results stay
+/// byte-identical to the per-event oracle at every worker count, on the
+/// streaming and zero-copy shared-batch paths alike — observed through
+/// the session's scheme accessor.
 #[test]
-fn pinned_split_reports_subgraph_verdict_and_conforms() {
-    let (engine, srcs, _) = optimized(&[
-        unkeyed_seq(10),
-        LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)),
-    ]);
-    let events = interleaved(&srcs, 200);
-    let reference = canonical(
-        &run_mode(
-            &engine,
-            &SessionConfig::default(),
-            Feed::PerEvent,
-            &events,
-            &[],
-        )
-        .leftovers,
-    );
-    for n in [1usize, 2, 4, 7] {
-        let mut session = engine.session().config(streaming(n, 13)).build().unwrap();
-        {
-            let scheme = session.scheme().expect("parallel sessions expose a scheme");
-            let pinned: Vec<_> = scheme
-                .components()
-                .iter()
-                .filter(|c| c.verdict == Verdict::Pinned)
-                .collect();
-            assert_eq!(pinned.len(), 1);
-            assert_eq!(pinned[0].pin_scope, Some(PinScope::StatefulSubgraph));
-            assert_eq!(*scheme.route(srcs[0]), SourceRoute::PinnedSplit);
-            assert_eq!(*scheme.route(srcs[1]), SourceRoute::Pinned);
-        }
-        drive(&mut session, &events, Feed::Batch);
-        assert_eq!(session.events_in(), events.len() as u64);
-        assert_eq!(canonical(&session.collect_all()), reference, "n={n}");
-    }
-}
-
-/// The keyed counterpart of the pinned-split contract: a keyed stateful
-/// cone with a stateless sibling on the same source must report
-/// [`SourceRoute::KeySplit`] (stateful leg hashed, stateless leg
-/// round-robin) and stay byte-identical to the per-event oracle at every
-/// worker count, on the streaming and zero-copy shared-batch paths alike.
-#[test]
-fn keyed_split_reports_cone_route_and_conforms() {
-    // The sequence consumes S *directly* (no shared prefilter select —
-    // the optimizer would fuse it with the sibling select into one m-op
-    // inside the stateful cone, hiding the free part).
-    let keyed_bare = LogicalPlan::source("S").followed_by(
-        LogicalPlan::source("T"),
-        rumor::SeqSpec {
-            predicate: Predicate::cmp(CmpOp::Eq, Expr::col(0), Expr::rcol(0)),
-            window: 14,
-        },
-    );
-    let (engine, srcs, _) = optimized(&[
-        keyed_bare,
-        LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)),
-    ]);
-    let events = interleaved(&srcs, 200);
-    let reference = canonical(
-        &run_mode(
-            &engine,
-            &SessionConfig::default(),
-            Feed::PerEvent,
-            &events,
-            &[],
-        )
-        .leftovers,
-    );
-    for n in [1usize, 2, 4, 7] {
-        for (cfg, feed) in [
-            (streaming(n, 13), Feed::Batch),
-            (streaming(n, 16), Feed::SharedBatch),
-        ] {
-            let mut session = engine.session().config(cfg.clone()).build().unwrap();
-            {
-                let scheme = session.scheme().expect("parallel sessions expose a scheme");
-                let keyed: Vec<_> = scheme
-                    .components()
-                    .iter()
-                    .filter(|c| c.verdict == Verdict::Keyed)
-                    .collect();
-                assert_eq!(keyed.len(), 1);
-                assert_eq!(*scheme.route(srcs[0]), SourceRoute::KeySplit(vec![0]));
-                assert_eq!(*scheme.route(srcs[1]), SourceRoute::Key(vec![0]));
+fn sibling_queries_keep_pinned_and_keyed_routes_and_conform() {
+    for (stateful, verdict, route) in [
+        (unkeyed_seq(10), Verdict::Pinned, SourceRoute::Pinned),
+        (equi_seq(14), Verdict::Keyed, SourceRoute::Key(vec![0])),
+    ] {
+        let (engine, srcs, _) = optimized(&[
+            stateful,
+            LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)),
+            LogicalPlan::source("S"),
+        ]);
+        let events = interleaved(&srcs, 200);
+        let reference = canonical(
+            &run_mode(
+                &engine,
+                &SessionConfig::default(),
+                Feed::PerEvent,
+                &events,
+                &[],
+            )
+            .leftovers,
+        );
+        for n in [1usize, 2, 4, 7] {
+            for (cfg, feed) in [
+                (streaming(n, 13), Feed::Batch),
+                (streaming(n, 16), Feed::SharedBatch),
+            ] {
+                let mut session = engine.session().config(cfg.clone()).build().unwrap();
+                {
+                    let scheme = session.scheme().expect("parallel sessions expose a scheme");
+                    assert_eq!(scheme.count(verdict), 1);
+                    assert_eq!(*scheme.route(srcs[0]), route);
+                    assert_eq!(*scheme.route(srcs[1]), route);
+                }
+                drive(&mut session, &events, feed);
+                assert_eq!(session.events_in(), events.len() as u64);
+                assert_eq!(
+                    canonical(&session.collect_all()),
+                    reference,
+                    "{verdict:?} {cfg:?} n={n} {feed:?}"
+                );
             }
-            drive(&mut session, &events, feed);
-            assert_eq!(session.events_in(), events.len() as u64);
-            assert_eq!(
-                canonical(&session.collect_all()),
-                reference,
-                "{cfg:?} n={n} {feed:?}"
-            );
         }
     }
 }
@@ -866,12 +815,6 @@ fn mixed_plan_scheme_has_all_three_verdicts() {
     assert_eq!(*scheme.route(srcs[0]), SourceRoute::Key(vec![0])); // S
     assert_eq!(*scheme.route(srcs[1]), SourceRoute::Key(vec![0])); // T
     assert_eq!(*scheme.route(srcs[3]), SourceRoute::Pinned); // A: ungrouped agg
-    for c in scheme.components() {
-        match c.verdict {
-            Verdict::Pinned => assert_eq!(c.pin_scope, Some(PinScope::WholeComponent)),
-            _ => assert_eq!(c.pin_scope, None),
-        }
-    }
     assert!(scheme.is_parallelizable());
 }
 
@@ -1255,7 +1198,7 @@ fn churn_scripts() -> Vec<(&'static str, Vec<LogicalPlan>, Vec<ChurnStep>)> {
         (
             // Churn around a *pinned* component: the unkeyed sequence
             // stays on worker 0 while stateless siblings come and go
-            // (Pinned ↔ PinnedSplit flips).
+            // (the route stays Pinned throughout).
             "churn_around_pinned",
             vec![unkeyed_seq(12)],
             vec![
@@ -1446,7 +1389,7 @@ proptest! {
     /// Streaming lifecycle oracle: any interleaving of push / push_batch
     /// (sizes 0 and 1 included) / flush, over inputs with timestamp ties,
     /// equals the single-threaded per-event result — for stateless, keyed,
-    /// and pinned-split workloads alike.
+    /// and pinned workloads with siblings alike.
     #[test]
     fn streaming_lifecycle_matches_per_event_reference(
         steps in steps_strategy(),
