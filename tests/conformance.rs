@@ -746,55 +746,69 @@ fn cost_based_search_conforms_across_modes() {
 }
 
 /// Stateless sibling queries (a selection and a direct source tap) ride
-/// along with a pinned or keyed stateful part: both sources keep the
-/// plain `Pinned` / `Key` route of their component, and results stay
-/// byte-identical to the per-event oracle at every worker count, on the
-/// streaming and zero-copy shared-batch paths alike — observed through
-/// the session's scheme accessor.
-#[test]
-fn sibling_queries_keep_pinned_and_keyed_routes_and_conform() {
-    for (stateful, verdict, route) in [
-        (unkeyed_seq(10), Verdict::Pinned, SourceRoute::Pinned),
-        (equi_seq(14), Verdict::Keyed, SourceRoute::Key(vec![0])),
-    ] {
-        let (engine, srcs, _) = optimized(&[
-            stateful,
-            LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)),
-            LogicalPlan::source("S"),
-        ]);
-        let events = interleaved(&srcs, 200);
-        let reference = canonical(
-            &run_mode(
-                &engine,
-                &SessionConfig::default(),
-                Feed::PerEvent,
-                &events,
-                &[],
-            )
-            .leftovers,
-        );
-        for n in [1usize, 2, 4, 7] {
-            for (cfg, feed) in [
-                (streaming(n, 13), Feed::Batch),
-                (streaming(n, 16), Feed::SharedBatch),
-            ] {
-                let mut session = engine.session().config(cfg.clone()).build().unwrap();
-                {
-                    let scheme = session.scheme().expect("parallel sessions expose a scheme");
-                    assert_eq!(scheme.count(verdict), 1);
-                    assert_eq!(*scheme.route(srcs[0]), route);
-                    assert_eq!(*scheme.route(srcs[1]), route);
-                }
-                drive(&mut session, &events, feed);
-                assert_eq!(session.events_in(), events.len() as u64);
-                assert_eq!(
-                    canonical(&session.collect_all()),
-                    reference,
-                    "{verdict:?} {cfg:?} n={n} {feed:?}"
-                );
+/// along with the `stateful` part: both sources keep the plain `route` of
+/// its component, the scheme reports exactly one `verdict` component, and
+/// results stay byte-identical to the per-event oracle at every worker
+/// count, on the streaming and zero-copy shared-batch paths alike —
+/// observed through the session's scheme accessor.
+fn assert_siblings_keep_route_and_conform(
+    stateful: LogicalPlan,
+    verdict: Verdict,
+    route: SourceRoute,
+) {
+    let (engine, srcs, _) = optimized(&[
+        stateful,
+        LogicalPlan::source("S").select(Predicate::attr_eq_const(0, 1i64)),
+        LogicalPlan::source("S"),
+    ]);
+    let events = interleaved(&srcs, 200);
+    let reference = canonical(
+        &run_mode(
+            &engine,
+            &SessionConfig::default(),
+            Feed::PerEvent,
+            &events,
+            &[],
+        )
+        .leftovers,
+    );
+    for n in [1usize, 2, 4, 7] {
+        for (cfg, feed) in [
+            (streaming(n, 13), Feed::Batch),
+            (streaming(n, 16), Feed::SharedBatch),
+        ] {
+            let mut session = engine.session().config(cfg.clone()).build().unwrap();
+            {
+                let scheme = session.scheme().expect("parallel sessions expose a scheme");
+                assert_eq!(scheme.count(verdict), 1);
+                assert_eq!(*scheme.route(srcs[0]), route);
+                assert_eq!(*scheme.route(srcs[1]), route);
             }
+            drive(&mut session, &events, feed);
+            assert_eq!(session.events_in(), events.len() as u64);
+            assert_eq!(
+                canonical(&session.collect_all()),
+                reference,
+                "{verdict:?} {cfg:?} n={n} {feed:?}"
+            );
         }
     }
+}
+
+/// A pinned stateful subgraph with stateless siblings on the same source
+/// reports its `Pinned` verdict, keeps the whole-tuple `Pinned` route on
+/// both sources, and conforms at every worker count.
+#[test]
+fn pinned_split_reports_subgraph_verdict_and_conforms() {
+    assert_siblings_keep_route_and_conform(unkeyed_seq(10), Verdict::Pinned, SourceRoute::Pinned);
+}
+
+/// The keyed counterpart: a keyed stateful cone with stateless siblings on
+/// the same source keeps the plain `Key` route on both sources — every
+/// tuple hashed whole — and conforms at every worker count.
+#[test]
+fn keyed_split_reports_cone_route_and_conforms() {
+    assert_siblings_keep_route_and_conform(equi_seq(14), Verdict::Keyed, SourceRoute::Key(vec![0]));
 }
 
 /// The mixed plan's scheme exposes the verdict spectrum at once and the
