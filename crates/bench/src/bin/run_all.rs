@@ -1,5 +1,5 @@
-//! Regenerates every figure of the evaluation (§5) and prints the markdown
-//! tables recorded in EXPERIMENTS.md. Usage: `run_all [quick|full]`.
+//! Regenerates every figure of the evaluation (§5) and prints one
+//! markdown table per panel. Usage: `run_all [quick|full]`.
 use rumor_bench::{fig10, fig11, fig9, Scale};
 
 fn main() {

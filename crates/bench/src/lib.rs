@@ -7,8 +7,12 @@
 //! dataset).
 //!
 //! Binaries: `fig9`, `fig10`, `fig11` (one per figure; pass the panel
-//! letter), and `run_all` which regenerates everything and prints the
-//! markdown tables recorded in EXPERIMENTS.md.
+//! letter), and `run_all` which regenerates everything and prints one
+//! markdown table per panel.
+//!
+//! This crate reproduces the paper's figures only; throughput claims about
+//! the engine itself are measured by `benchmark/` against `BENCHMARK.json`,
+//! which reports a spread for every number.
 //!
 //! The measurement protocol follows §5: warmup passes first, then repeated
 //! measured runs whose throughputs are averaged; cross-system comparisons
@@ -21,8 +25,6 @@
 pub mod fig10;
 pub mod fig11;
 pub mod fig9;
-pub mod multi_tenant;
-pub mod throughput;
 
 use std::time::Instant;
 

@@ -16,7 +16,7 @@
 //! Scope: chains of sequence states terminated by an optional µ state with
 //! rebind emission — the automaton shapes of the paper's workloads
 //! (§5.2). Forward edges leaving a µ state are not translated (Cayuga
-//! resubscription; see DESIGN.md).
+//! resubscription).
 
 use std::collections::HashMap;
 

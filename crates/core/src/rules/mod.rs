@@ -280,19 +280,13 @@ impl Optimizer {
             trace.passes += 1;
             let sharable = Sharability::analyze(plan);
             for rule in &self.rules {
-                if self.config.disabled_rules.contains(rule.name()) {
+                let Some(applicable) = self.applicable(rule.as_ref()) else {
                     continue;
-                }
+                };
                 let groups = rule.find_groups(plan, &sharable);
                 let mut fired = false;
                 for group in groups {
-                    if group.len() < rule.min_group() {
-                        continue;
-                    }
-                    if group.iter().any(|&id| plan.mop_opt(id).is_none()) {
-                        continue;
-                    }
-                    if !rule.condition(plan, &sharable, &group) {
+                    if !applicable(plan, &sharable, &group) {
                         continue;
                     }
                     let target = rule.apply(plan, &group)?;
@@ -369,23 +363,37 @@ impl Optimizer {
     fn candidates(&self, plan: &PlanGraph, sharable: &Sharability) -> Vec<(usize, Vec<MopId>)> {
         let mut out = Vec::new();
         for (ri, rule) in self.rules.iter().enumerate() {
-            if self.config.disabled_rules.contains(rule.name()) {
+            let Some(applicable) = self.applicable(rule.as_ref()) else {
                 continue;
-            }
+            };
             for group in rule.find_groups(plan, sharable) {
-                if group.len() < rule.min_group() {
-                    continue;
+                if applicable(plan, sharable, &group) {
+                    out.push((ri, group));
                 }
-                if group.iter().any(|&id| plan.mop_opt(id).is_none()) {
-                    continue;
-                }
-                if !rule.condition(plan, sharable, &group) {
-                    continue;
-                }
-                out.push((ri, group));
             }
         }
         out
+    }
+
+    /// The one definition of an applicable rewrite. `None` when `rule` is
+    /// disabled; otherwise the per-group check: the group is big enough, no
+    /// member has been merged away, and the rule's condition accepts it.
+    /// Drivers run the check on each group right before applying it, so
+    /// the merged-away test sees every earlier apply of the same pass.
+    fn applicable<'r>(
+        &self,
+        rule: &'r dyn MRule,
+    ) -> Option<impl Fn(&PlanGraph, &Sharability, &[MopId]) -> bool + 'r> {
+        if self.config.disabled_rules.contains(rule.name()) {
+            return None;
+        }
+        Some(
+            move |plan: &PlanGraph, sharable: &Sharability, group: &[MopId]| {
+                group.len() >= rule.min_group()
+                    && group.iter().all(|&id| plan.mop_opt(id).is_some())
+                    && rule.condition(plan, sharable, group)
+            },
+        )
     }
 
     /// Applies one candidate to a clone of the plan, optionally plays out
@@ -480,22 +488,16 @@ impl Optimizer {
             trace.passes += 1;
             let sharable = Sharability::analyze(plan);
             for rule in &self.rules {
-                if self.config.disabled_rules.contains(rule.name()) {
+                let Some(applicable) = self.applicable(rule.as_ref()) else {
                     continue;
-                }
+                };
                 let groups = rule.find_groups(plan, &sharable);
                 let mut fired = false;
                 for group in groups {
-                    if group.len() < rule.min_group() {
-                        continue;
-                    }
                     if !group.iter().any(|id| touched.contains(id)) {
                         continue; // outside the touched region
                     }
-                    if group.iter().any(|&id| plan.mop_opt(id).is_none()) {
-                        continue;
-                    }
-                    if !rule.condition(plan, &sharable, &group) {
+                    if !applicable(plan, &sharable, &group) {
                         continue;
                     }
                     if let Some(reason) =
@@ -632,6 +634,10 @@ mod tests {
         let opt = Optimizer::new(OptimizerConfig::unoptimized());
         let trace = opt.optimize(&mut plan).unwrap();
         assert!(trace.entries.is_empty());
+        assert_eq!(plan.mop_count(), 4);
+        // Disabling the one rule that applies has the same effect.
+        let opt = Optimizer::new(OptimizerConfig::default().disable("s_sigma"));
+        assert_eq!(opt.optimize(&mut plan).unwrap().count("s_sigma"), 0);
         assert_eq!(plan.mop_count(), 4);
     }
 

@@ -38,7 +38,8 @@
 //! differential conformance harness pins this byte-for-byte). Sharding
 //! pays off when there are physical cores to spare and per-event work is
 //! nontrivial; on a single core it measures the routing overhead (see
-//! `BENCH_throughput.json` and the [`SessionBuilder`] docs).
+//! the [`SessionBuilder`] docs; `benchmark/` reports it per workload as
+//! `sharded_events_per_s`).
 //!
 //! ## Dynamic query lifecycle
 //!

@@ -15,7 +15,7 @@
 //! * [`workload3`] — sharable first input streams encoded by a channel
 //!   (Figures 10(c,d)).
 //! * [`perfmon`] — the simulated performance-counter datasets standing in
-//!   for the paper's proprietary D1/D2 traces (see DESIGN.md §4).
+//!   for the paper's proprietary D1/D2 traces (§5.3).
 //! * [`hybrid`] — the n-instance Query 2 workload over the perfmon data
 //!   (Figure 11).
 //!

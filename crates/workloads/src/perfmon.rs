@@ -5,7 +5,7 @@
 //! machine, 24 hours, one CPU reading per process per second) and D2 (28
 //! processes on a home machine). Those traces are unavailable, so this
 //! module generates synthetic equivalents that preserve the properties the
-//! hybrid-query experiment exercises (see DESIGN.md §4):
+//! hybrid-query experiment exercises:
 //!
 //! * one `CPU(pid, load; ts)` tuple per process per second;
 //! * a mostly-idle baseline with bursty episodes (so the stopping condition

@@ -58,8 +58,9 @@
 //!   network clients onto one shared session (see [`server`]).
 //! * `rumor-cayuga` — the Cayuga-style automaton baseline engine (§4/§5).
 //! * `rumor-workloads` — the paper's benchmark workloads (§5).
-//! * `rumor-bench` — figure regeneration plus the engine-path throughput
-//!   harness behind `BENCH_throughput.json`.
+//! * `rumor-bench` — regenerates the paper's evaluation figures (§5,
+//!   Figures 9–11). Engine throughput is measured by `benchmark/`
+//!   against `BENCHMARK.json`.
 //!
 //! ## One execution API: sessions
 //!
@@ -251,10 +252,8 @@
 //! server.shutdown().unwrap();
 //! ```
 //!
-//! The `multi_tenant` row of `BENCH_throughput.json` measures this path
-//! end to end: hundreds of loopback clients, 1024 Zipf-popular queries,
-//! aggregate throughput, per-client flush latency, and the sharing
-//! attribution at that population.
+//! The `tenant_tcp` workload of `BENCHMARK.json` measures this path end to
+//! end, on the same queries and events as the embedded `shared_selects`.
 //!
 //! ## Dynamic query lifecycle
 //!
@@ -268,11 +267,6 @@
 //! install, resume). Operators untouched by the delta keep their state —
 //! a windowed sequence keeps matching straight through an unrelated
 //! add/remove; the churn conformance suite pins this byte-identically.
-//!
-//! `BENCH_throughput.json` (regenerated by
-//! `cargo run --release -p rumor-bench --bin throughput`) records the
-//! measured per-path throughput, including the dispatch overhead of live
-//! subscriptions versus the catch-all.
 
 #![warn(missing_docs)]
 

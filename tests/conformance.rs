@@ -729,20 +729,37 @@ fn cost_based_search_conforms_across_modes() {
         // matrix, subscriptions included.
         assert_conformance(name, &cost, &qids, &events);
     }
-    // The strict-improvement case: at the overlapping-family shape the
-    // search must beat greedy outright, not merely tie.
-    let queries: Vec<LogicalPlan> = (0..2i64)
-        .map(|c| overlap_agg(1, c))
-        .chain((0..3i64).map(|c| overlap_agg(2, c)))
-        .collect();
-    let (greedy, _, _) = optimized(&queries);
-    let (cost, _, _) = optimized_with(OptimizerConfig::cost_based(), &queries);
-    assert!(
-        cost.plan().mop_count() < greedy.plan().mop_count(),
-        "cost-based must strictly beat greedy here: {} vs {}",
-        cost.plan().mop_count(),
-        greedy.plan().mop_count()
-    );
+    // The strict-improvement case: at the overlapping-family shapes (2 small
+    // + 3 big, and 8 small + 24 big over a feed whose `a0` reaches every
+    // constant) the search must beat greedy outright, not merely tie, and
+    // both plans must still give the same results.
+    for (small, big) in [(2i64, 3i64), (8, 24)] {
+        let queries: Vec<LogicalPlan> = (0..small)
+            .map(|c| overlap_agg(1, c))
+            .chain((0..big).map(|c| overlap_agg(2, c)))
+            .collect();
+        let (greedy, srcs, _) = optimized(&queries);
+        let (cost, _, _) = optimized_with(OptimizerConfig::cost_based(), &queries);
+        assert!(
+            cost.plan().mop_count() < greedy.plan().mop_count(),
+            "{small}/{big}: cost-based must strictly beat greedy here: {} vs {}",
+            cost.plan().mop_count(),
+            greedy.plan().mop_count()
+        );
+        let u = srcs[2]; // the queries read "U"
+        let events: Vec<(SourceId, Tuple)> = (0..2000u64)
+            .map(|ts| {
+                let a0 = (ts % big as u64) as i64;
+                (u, Tuple::ints(ts, &[a0, (ts % 4) as i64, (ts % 2) as i64]))
+            })
+            .collect();
+        let cfg = SessionConfig::default();
+        assert_eq!(
+            canonical(&run_mode(&cost, &cfg, Feed::PerEvent, &events, &[]).leftovers),
+            canonical(&run_mode(&greedy, &cfg, Feed::PerEvent, &events, &[]).leftovers),
+            "{small}/{big}: optimizer modes disagree on per-event results"
+        );
+    }
 }
 
 /// Stateless sibling queries (a selection and a direct source tap) ride
